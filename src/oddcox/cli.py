@@ -289,7 +289,12 @@ def cmd_rs_kernel(ns):
     if not isinstance(data, dict) or "degree" not in data or "images" not in data:
         raise SystemFileError("hom file needs fields 'degree' and 'images'")
     degree = data["degree"]
-    images = [pathgroups.parse_cycles(text, degree) for text in data["images"]]
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        raise SystemFileError("'degree' must be a positive integer")
+    texts = data["images"]
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise SystemFileError("'images' must be an array of cycle strings")
+    images = [pathgroups.parse_cycles(text, degree) for text in texts]
     pres = pathgroups.rs_kernel(sys, images)
     facts = [
         ("generators", pres.num_generators),

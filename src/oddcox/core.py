@@ -1,9 +1,16 @@
 """Coxeter systems with odd exponents and tree-shaped diagrams.
 
-A system is stored as a symmetric matrix of exponents.  Diagonal entries
-are 1, off-diagonal entries are odd integers >= 3 or ``INFINITY``.  The
-value ``INFINITY`` (``math.inf``) is the single sentinel for unbounded
-exponents; it never takes part in integer arithmetic.
+Mathematically a system is a symmetric matrix of exponents.  Diagonal
+entries are 1, off-diagonal entries are odd integers >= 3 or
+``INFINITY``.  The value ``INFINITY`` (``math.inf``) is the single
+sentinel for unbounded exponents; it never takes part in integer
+arithmetic.
+
+A ``CoxeterSystem`` stores the rank, the finite edges and a neighbour map
+per vertex, so a tree of rank n costs O(n) to build, hash and compare
+rather than O(n^2).  Every pair that is not stored has exponent
+``INFINITY``.
+``validate_system`` still accepts and checks a full matrix.
 
 Generators are 1-indexed everywhere.
 """
@@ -12,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,30 +42,74 @@ def _is_valid_exponent(m) -> bool:
     return isinstance(m, int) and not isinstance(m, bool) and m >= 3 and m % 2 == 1
 
 
+_NO_NEIGHBORS: dict = {}
+
+
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """Validated system: rank plus the symmetric exponent matrix."""
+    """Validated system: the rank plus the finite edges of its diagram.
+
+    ``edges`` is the sorted tuple of (i, j, m) with i < j and m finite;
+    edges given in any order or orientation are normalized to it, so two
+    systems are equal exactly when their exponent matrices are.  The hash
+    is computed once, because the word engine's cache hashes the system
+    on every reduction.
+    """
 
     rank: int
-    exponents: tuple
+    edges: tuple = ()
+    _rows: list = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        rank = self.rank
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise MalformedInvariant("rank must be at least 1")
+        # rows[i] maps each neighbour of i to its exponent; a list indexed
+        # by vertex keeps m() as fast as indexing a matrix row
+        rows: list[dict[int, int]] = [_NO_NEIGHBORS] * (rank + 1)
+        canon = []
+        for i, j, m in self.edges:
+            if i > j:
+                i, j = j, i
+            if i == j:
+                raise DiagonalNotOne(f"edge at ({i}, {i}): the diagonal is always 1")
+            if i < 1 or j > rank:
+                raise MalformedInvariant(f"edge ({i}, {j}) out of range 1..{rank}")
+            if m == INFINITY or not _is_valid_exponent(m):
+                raise EvenOrSmallExponent(
+                    f"exponent of ({i}, {j}) is {m}; "
+                    "edge labels must be odd integers >= 3"
+                )
+            if j in rows[i]:
+                raise NotSymmetric(f"pair ({i}, {j}) is given twice")
+            for u in (i, j):
+                if rows[u] is _NO_NEIGHBORS:
+                    rows[u] = {}
+            rows[i][j] = rows[j][i] = m
+            canon.append((i, j, m))
+        canon.sort()
+        edges = tuple(canon)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_hash", hash((rank, edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def m(self, i: int, j: int):
         """Exponent of the pair (i, j), 1-indexed."""
-        return self.exponents[i - 1][j - 1]
+        if i == j:
+            return 1
+        return self._rows[i].get(j, INFINITY)
 
     @property
     def generators(self) -> range:
         return range(1, self.rank + 1)
 
     def finite_pairs(self) -> list[tuple[int, int, int]]:
-        """All (i, j, m) with i < j and m finite."""
-        out = []
-        for i in range(1, self.rank + 1):
-            for j in range(i + 1, self.rank + 1):
-                m = self.m(i, j)
-                if m != INFINITY:
-                    out.append((i, j, m))
-        return out
+        """All (i, j, m) with i < j and m finite, sorted."""
+        return list(self.edges)
 
 
 def validate_system(raw: Sequence[Sequence]) -> CoxeterSystem:
@@ -73,6 +124,7 @@ def validate_system(raw: Sequence[Sequence]) -> CoxeterSystem:
         entry = raw[i][i]
         if entry != 1:
             raise DiagonalNotOne(f"exponents[{i + 1}][{i + 1}] = {entry}, expected 1")
+    edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if raw[i][j] != raw[j][i]:
@@ -84,8 +136,9 @@ def validate_system(raw: Sequence[Sequence]) -> CoxeterSystem:
                     f"exponents[{i + 1}][{j + 1}] = {raw[i][j]}; "
                     "off-diagonal entries must be odd integers >= 3 or infinity"
                 )
-    rows = tuple(tuple(row) for row in raw)
-    return CoxeterSystem(rank=n, exponents=rows)
+            if raw[i][j] != INFINITY:
+                edges.append((i + 1, j + 1, raw[i][j]))
+    return CoxeterSystem(n, edges)
 
 
 @dataclass(frozen=True)
@@ -207,38 +260,27 @@ class StarForm:
         raise NotStarForm(f"no leaf {leaf}")
 
 
-def _star_matrix(ts: Sequence[int]) -> CoxeterSystem:
-    n = len(ts) + 1
-    rows = [[INFINITY] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    for idx, t in enumerate(ts):
-        rows[0][idx + 1] = t
-        rows[idx + 1][0] = t
-    return validate_system(rows)
+def _star_system(ts: Sequence[int]) -> CoxeterSystem:
+    """Center 1 joined to leaf k + 2 by ts[k]."""
+    return CoxeterSystem(len(ts) + 1, ((1, leaf, t) for leaf, t in enumerate(ts, 2)))
 
 
 def _star_form_from_ts(ts: Sequence[int]) -> StarForm:
     ts = tuple(ts)
     distinct: list[int] = []
-    mults: list[int] = []
-    blocks: list[tuple] = []
-    leaf = 2
-    for t in ts:
+    blocks: list[list[int]] = []
+    for leaf, t in enumerate(ts, 2):
         if distinct and distinct[-1] == t:
-            mults[-1] += 1
-            blocks[-1] = blocks[-1] + (leaf,)
+            blocks[-1].append(leaf)
         else:
             distinct.append(t)
-            mults.append(1)
-            blocks.append((leaf,))
-        leaf += 1
+            blocks.append([leaf])
     return StarForm(
-        system=_star_matrix(ts),
+        system=_star_system(ts),
         t=ts,
         distinct=tuple(distinct),
-        multiplicities=tuple(mults),
-        blocks=tuple(blocks),
+        multiplicities=tuple(len(block) for block in blocks),
+        blocks=tuple(tuple(block) for block in blocks),
     )
 
 
@@ -267,10 +309,9 @@ def star_form(sys: CoxeterSystem) -> StarForm:
         if m == INFINITY:
             raise NotStarForm(f"pair (1, {i}) must carry a finite exponent")
         ts.append(m)
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            if sys.m(i, j) != INFINITY:
-                raise NotStarForm(f"pair ({i}, {j}) must be unbounded in a star")
+    for i, j, _ in sys.edges:
+        if i != 1:
+            raise NotStarForm(f"pair ({i}, {j}) must be unbounded in a star")
     if list(ts) != sorted(ts):
         raise NotStarForm("leaf exponents must be ascending")
     return _star_form_from_ts(ts)
@@ -278,14 +319,8 @@ def star_form(sys: CoxeterSystem) -> StarForm:
 
 def path_system(labels: Sequence[int]) -> CoxeterSystem:
     """Path-shaped system: consecutive generators joined by the given labels."""
-    n = len(labels) + 1
-    rows = [[INFINITY] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    for idx, m in enumerate(labels):
-        rows[idx][idx + 1] = m
-        rows[idx + 1][idx] = m
-    return validate_system(rows)
+    edges = ((i, i + 1, m) for i, m in enumerate(labels, 1) if m != INFINITY)
+    return CoxeterSystem(len(labels) + 1, edges)
 
 
 def merge_generators(star: StarForm, i: int, j: int):
@@ -323,14 +358,17 @@ def merge_generators(star: StarForm, i: int, j: int):
         else:
             mapping[tag - 1] = new_index
     if not entries:
-        quotient = validate_system([[1]])
+        quotient = CoxeterSystem(1)
     else:
-        quotient = _star_matrix([t for t, _ in entries])
+        quotient = _star_system([t for t, _ in entries])
     return quotient, tuple(mapping)
 
 
 # system file format: {"rank": n, "edges": [{"u":1,"v":2,"m":3}, ...]},
 # missing pairs mean an unbounded exponent
+
+# a system costs one pointer per vertex, so a file may not ask for more
+MAX_FILE_RANK = 10**6
 
 
 def system_to_json(sys: CoxeterSystem) -> str:
@@ -350,23 +388,22 @@ def system_from_json(text: str) -> CoxeterSystem:
     rank = data["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise SystemFileError("'rank' must be a positive integer")
+    if rank > MAX_FILE_RANK:
+        raise SystemFileError(f"'rank' {rank} exceeds the limit {MAX_FILE_RANK}")
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise SystemFileError("'edges' must be an array")
-    rows = [[INFINITY] * rank for _ in range(rank)]
-    for idx in range(rank):
-        rows[idx][idx] = 1
     seen: set[tuple[int, int]] = set()
     for k, edge in enumerate(edges):
         where = f"edges[{k}]"
         if not isinstance(edge, dict):
             raise SystemFileError(f"{where}: must be an object")
-        for field in ("u", "v", "m"):
-            if field not in edge:
-                raise SystemFileError(f"{where}: missing field '{field}'")
-            value = edge[field]
+        for name in ("u", "v", "m"):
+            if name not in edge:
+                raise SystemFileError(f"{where}: missing field '{name}'")
+            value = edge[name]
             if not isinstance(value, int) or isinstance(value, bool):
-                raise SystemFileError(f"{where}.{field}: must be an integer")
+                raise SystemFileError(f"{where}.{name}: must be an integer")
         u, v, m = edge["u"], edge["v"], edge["m"]
         if not (1 <= u <= rank):
             raise SystemFileError(f"{where}.u: vertex {u} out of range 1..{rank}")
@@ -382,30 +419,22 @@ def system_from_json(text: str) -> CoxeterSystem:
         if key in seen:
             raise SystemFileError(f"{where}: duplicate edge {key[0]}-{key[1]}")
         seen.add(key)
-        rows[u - 1][v - 1] = m
-        rows[v - 1][u - 1] = m
-    return validate_system(rows)
+    return CoxeterSystem(rank, ((e["u"], e["v"], e["m"]) for e in edges))
 
 
 def relabel(sys: CoxeterSystem, perm: Sequence[int]) -> CoxeterSystem:
     """System with vertices renamed by ``perm`` (perm[i-1] is the new name of i)."""
-    n = sys.rank
-    rows = [[1] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            rows[perm[i - 1] - 1][perm[j - 1] - 1] = sys.m(i, j)
-    return validate_system(rows)
+    if sorted(perm) != list(sys.generators):
+        raise MalformedInvariant(f"perm must be a permutation of 1..{sys.rank}")
+    edges = ((perm[i - 1], perm[j - 1], m) for i, j, m in sys.edges)
+    return CoxeterSystem(sys.rank, edges)
 
 
 def random_tree_system(rng, rank: int, labels: Iterable[int] = (3, 5, 7, 9)) -> CoxeterSystem:
     """Random member of the validated tree family (for tests and demos)."""
     labels = tuple(labels)
-    rows = [[INFINITY] * rank for _ in range(rank)]
-    for i in range(rank):
-        rows[i][i] = 1
+    edges = []
     for v in range(2, rank + 1):
         parent = rng.randint(1, v - 1)
-        m = rng.choice(labels)
-        rows[v - 1][parent - 1] = m
-        rows[parent - 1][v - 1] = m
-    return validate_system(rows)
+        edges.append((parent, v, rng.choice(labels)))
+    return CoxeterSystem(rank, edges)

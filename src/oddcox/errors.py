@@ -9,6 +9,12 @@ class OddCoxeterError(Exception):
     slug = "error"
 
 
+class CertificateFailed(OddCoxeterError):
+    """A result failed the check that certifies it; nothing is returned."""
+
+    slug = "certificate-failed"
+
+
 # system validation
 class NotSymmetric(OddCoxeterError):
     slug = "not-symmetric"
@@ -127,6 +133,18 @@ class GroupTooLarge(OddCoxeterError):
     slug = "group-too-large"
 
 
+class BadGroupTable(OddCoxeterError):
+    slug = "bad-group-table"
+
+
 # oracle
 class BallBudgetExceeded(OddCoxeterError):
     slug = "budget"
+
+
+class NegativeRadius(OddCoxeterError):
+    slug = "negative-radius"
+
+
+class BadSearchRequest(OddCoxeterError):
+    slug = "bad-search-request"

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import CoxeterSystem
-from .errors import BallBudgetExceeded
+from .errors import (
+    BadLetter,
+    BadSearchRequest,
+    BallBudgetExceeded,
+    EvenOrSmallExponent,
+    NegativeRadius,
+)
 from .words import DEFAULT_ORBIT_BUDGET, check_word, inverse_word, reduce_word
 
 DEFAULT_BALL_BUDGET = 10**5
@@ -34,7 +40,7 @@ def cayley_ball(
 ) -> CayleyBall:
     """Breadth-first enumeration with canonical-form deduplication."""
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise NegativeRadius(f"radius must be nonnegative, got {radius}")
     seen = {()}
     layers = [[()]]
     for r in range(1, radius + 1):
@@ -64,7 +70,7 @@ class DihedralModel:
 
     def __init__(self, m: int):
         if m < 3 or m % 2 == 0:
-            raise ValueError("exponent must be odd and at least 3")
+            raise EvenOrSmallExponent(f"exponent {m} must be odd and at least 3")
         self.m = m
         self.size = 2 * m
         self.elements = [(p, k) for p in (0, 1) for k in range(m)]
@@ -96,7 +102,7 @@ class DihedralModel:
             elif letter == 2:
                 p, k = 1 - p, (1 - k) % self.m
             else:
-                raise ValueError(f"letter {letter} is not 1 or 2")
+                raise BadLetter(f"letter {letter} is not 1 or 2")
         return self._index[(p, k)]
 
 
@@ -121,12 +127,12 @@ def ball_search(
     a = check_word(sys, a)
     if kind == "conjugator":
         if b is None:
-            raise ValueError("conjugator search needs a target")
+            raise BadSearchRequest("conjugator search needs a target")
         target = reduce_word(sys, b, orbit_budget)
     elif kind == "centralizer":
         target = reduce_word(sys, a, orbit_budget)
     else:
-        raise ValueError(f"unknown search kind {kind!r}")
+        raise BadSearchRequest(f"unknown search kind {kind!r}")
     ball = cayley_ball(sys, radius, ball_budget, orbit_budget)
     hits = []
     for x in ball.elements:

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import INFINITY, CoxeterSystem, classify, path_system, validate_system
+from .core import INFINITY, CoxeterSystem, classify, path_system
 from .errors import (
+    BadGroupTable,
     BadLetter,
+    CertificateFailed,
     GroupTooLarge,
     ImageTooLarge,
     NonIntegerResult,
@@ -139,7 +141,7 @@ def build_ln(n: int) -> CoxeterSystem:
     if n < 2:
         raise RankTooSmall("the family starts at two strands")
     if n == 2:
-        return validate_system([[1]])
+        return CoxeterSystem(1)
     return path_system([3] * (n - 2))
 
 
@@ -401,12 +403,15 @@ def pl_witness(n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> PureWitness:
     sys = build_ln(n)
     images = [(2, 1, 2)] + [(i,) for i in range(2, n)]
     endo = make_endo(sys, images)
-    assert satisfies_relations(sys, endo, budget)
+    if not satisfies_relations(sys, endo, budget):
+        raise CertificateFailed("the witness map breaks a defining relation")
     g = reduce_word(sys, (1, 2, 2, 3, 1, 2, 2, 3), budget)  # (x1 x2)^2
-    assert is_pure(n, g)
+    if not is_pure(n, g):
+        raise CertificateFailed("the witness element is not pure")
     moved = apply(sys, endo, g, budget)
     image = pi_image(n, moved)
-    assert not image.is_identity()
+    if image.is_identity():
+        raise CertificateFailed("the witness image is still pure")
     return PureWitness(endo=endo, g=g, image=image)
 
 
@@ -441,6 +446,8 @@ def symmetric_group_table(n: int, cap: int = DEFAULT_GROUP_CAP):
 
 def cyclic_group_table(n: int):
     """Z/n as a table: element i is the residue i."""
+    if n < 1:
+        raise BadGroupTable(f"cyclic group order must be at least 1, got {n}")
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
 
@@ -449,7 +456,7 @@ def _identity_of(table: Sequence[Sequence[int]]) -> int:
     for e in range(size):
         if all(table[e][x] == x == table[x][e] for x in range(size)):
             return e
-    raise ValueError("multiplication table has no identity element")
+    raise BadGroupTable("multiplication table has no identity element")
 
 
 def _inverses_of(table: Sequence[Sequence[int]]) -> list:
@@ -462,7 +469,7 @@ def _inverses_of(table: Sequence[Sequence[int]]) -> list:
                 out[a] = b
                 break
         if out[a] is None:
-            raise ValueError(f"element {a} has no inverse in the table")
+            raise BadGroupTable(f"element {a} has no inverse in the table")
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import StarForm
-from .errors import EvenModulus
+from .errors import CertificateFailed, EvenModulus
 
 
 def factorize_int(m: int) -> list[tuple[int, int]]:
@@ -194,8 +194,12 @@ def split_inn_c(star: StarForm) -> Optional[ComplementD]:
         if p == chosen_p:
             q = p**e
             half = ((p - 1) * p ** (e - 1)) // 2
-            assert pow(q - 1, half, q) != 1, "-1 landed in the odd-order half"
-    assert order == c_order(star) // 2
+            if pow(q - 1, half, q) == 1:
+                raise CertificateFailed("-1 landed in the odd-order half")
+    if order != c_order(star) // 2:
+        raise CertificateFailed(
+            f"complement has order {order}, expected {c_order(star) // 2}"
+        )
     return ComplementD(generators=tuple(generators), order=order)
 
 

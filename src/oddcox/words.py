@@ -41,12 +41,17 @@ Word = tuple
 
 
 def check_word(sys: CoxeterSystem, word: Sequence[int]) -> Word:
+    word = tuple(word)
+    rank = sys.rank
     for letter in word:
-        if not isinstance(letter, int) or isinstance(letter, bool):
+        # the exact type test is cheap; int subclasses other than bool pass too
+        if type(letter) is not int and (
+            not isinstance(letter, int) or isinstance(letter, bool)
+        ):
             raise BadLetter(f"letter {letter!r} is not an integer")
-        if not (1 <= letter <= sys.rank):
-            raise BadLetter(f"letter {letter} out of range 1..{sys.rank}")
-    return tuple(word)
+        if not 1 <= letter <= rank:
+            raise BadLetter(f"letter {letter} out of range 1..{rank}")
+    return word
 
 
 def inverse_word(word: Sequence[int]) -> Word:
@@ -60,15 +65,14 @@ def alternating(a: int, b: int, length: int) -> Word:
 
 
 def _strip_pairs(word: Word) -> Word:
-    w = list(word)
-    idx = 0
-    while idx < len(w) - 1:
-        if w[idx] == w[idx + 1]:
-            del w[idx : idx + 2]
-            idx = max(idx - 1, 0)
+    """Free reduction in one pass; it is confluent, so the result is unique."""
+    out: list[int] = []
+    for letter in word:
+        if out and out[-1] == letter:
+            out.pop()
         else:
-            idx += 1
-    return tuple(w)
+            out.append(letter)
+    return tuple(out)
 
 
 def _braid_neighbors(sys: CoxeterSystem, word: Word):

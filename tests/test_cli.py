@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oddcox import system_from_json, system_to_json, invariants
-from oddcox.cli import execute
+from oddcox.cli import execute, main
 from conftest import star
 
 
@@ -198,3 +202,78 @@ def test_usage_errors(files):
     res = run(["search", files["star3"], "conjugator", "2", "--radius", "2"])
     assert res.exit_code == 2
     assert run(["twisted", "cyc", "3", "conj", "(1 2)"]).exit_code == 2
+
+
+# each must end in exactly one "error: <slug>" line and exit code 1
+BAD_ARGVS = [
+    ["ball", "{star3}", "--radius", "-1"],
+    ["search", "{star3}", "centralizer", "1", "--radius", "-1"],
+    ["search", "{star3}", "conjugator", "1", "9", "--radius", "1"],
+    ["twisted", "cyc", "0", "identity"],
+    ["twisted", "cyc", "-3", "identity"],
+    ["twisted", "cyc", "0", "inversion"],
+    ["twisted", "sym", "0", "identity"],
+    ["twisted", "sym", "3", "conj", "(1 2"],
+    ["reduce", "{star3}", "0"],
+    ["reduce", "{star3}", "1 x"],
+    ["equal", "{star3}", "1", "7"],
+    ["ln", "build", "-2"],
+    ["ln", "pi", "0", "1"],
+    ["ln", "witness", "3"],
+    ["ln", "rank", "4", "-1"],
+    ["out", "{path53}"],
+    ["commutator", "{triangle}"],
+    ["canonical-star", "{triangle}"],
+    ["validate", "{missing}"],
+    ["validate", "{huge_rank}"],
+    ["aut-invert", "{star33}", "{collapse}"],
+    ["aut-verify", "{star33}", "{bad_letter_endo}"],
+    ["rs-kernel", "{star3}", "{string_degree}"],
+    ["rs-kernel", "{star3}", "{number_images}"],
+    ["ball", "{star3}", "--radius", "3", "--budget", "-1"],
+]
+
+
+@pytest.fixture
+def bad_files(tmp_path, files):
+    out = dict(files)
+    texts = {
+        "triangle": '{"rank": 3, "edges": [{"u":1,"v":2,"m":3},'
+        '{"u":2,"v":3,"m":3},{"u":1,"v":3,"m":3}]}',
+        "bad_letter_endo": '{"images": [[1],[9],[2]]}',
+        "string_degree": '{"degree": "3", "images": ["(1 2)", "(2 3)"]}',
+        "number_images": '{"degree": 3, "images": [1, 2]}',
+        "huge_rank": '{"rank": 1000000000000}',
+    }
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        out[name] = str(path)
+    out["missing"] = str(tmp_path / "missing.json")
+    return out
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=" ".join)
+def test_bad_argv_gives_one_slug_line(argv, bad_files, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["oddcox"] + [a.format(**bad_files) for a in argv])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+def test_bad_argv_in_a_real_process(files):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddcox.cli", "ball", files["star3"], "--radius", "-1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "error: negative-radius: radius must be nonnegative, got -1\n"
+    assert "Traceback" not in proc.stderr

@@ -1,9 +1,13 @@
+import pickle
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from oddcox import (
     INFINITY,
+    CoxeterSystem,
     SystemInvariant,
     canonical_star,
     classify,
@@ -13,6 +17,7 @@ from oddcox import (
     invariants,
     merge_generators,
     path_system,
+    reduce_word,
     star_form,
     system_from_json,
     system_to_json,
@@ -269,3 +274,120 @@ def test_merge_mapping_is_a_homomorphism():
                 merged_pair = (i, j)
                 image = tuple(mapping[letter - 1] for letter in merged_pair)
                 assert reduce_word(quotient, image) == ()
+
+
+def _matrix(sys):
+    return [[sys.m(i, j) for j in sys.generators] for i in sys.generators]
+
+
+def test_every_constructor_gives_equal_systems():
+    inf = INFINITY
+    path = [
+        validate_system([[1, 5, inf], [5, 1, 3], [inf, 3, 1]]),
+        path_system([5, 3]),
+        system_from_json(
+            '{"rank": 3, "edges": [{"u":3,"v":2,"m":3},{"u":2,"v":1,"m":5}]}'
+        ),
+        relabel(path_system([3, 5]), [3, 2, 1]),
+        CoxeterSystem(3, [(3, 2, 3), (1, 2, 5)]),
+    ]
+    star35 = [
+        canonical_star(SystemInvariant(3, (5, 3))).system,
+        star_form(validate_system([[1, 3, 5], [3, 1, inf], [5, inf, 1]])).system,
+        system_from_json(
+            '{"rank": 3, "edges": [{"u":3,"v":1,"m":5},{"u":1,"v":2,"m":3}]}'
+        ),
+        merge_generators(star(3, 5, 7), 1, 4)[0],
+        merge_generators(star(3, 5, 15), 3, 4)[0],
+    ]
+    for group in (path, star35):
+        for a in group:
+            assert a == group[0] and hash(a) == hash(group[0])
+            assert a.edges == group[0].edges
+    assert path[0] != star35[0]
+    assert path_system([5, 3]) != path_system([3, 5])
+    assert CoxeterSystem(2) != CoxeterSystem(3)
+    assert validate_system([[1]]) == CoxeterSystem(1) == merge_generators(star(3, 5), 2, 3)[0]
+
+
+def test_equal_exactly_when_matrices_equal():
+    rng = random.Random(13)
+    pool = [random_tree_system(rng, rng.randint(1, 5), (3, 5)) for _ in range(40)]
+    pool += [relabel(s, _random_perm(rng, s.rank)) for s in pool[:20]]
+    for a in pool:
+        again = validate_system(_matrix(a))
+        assert again == a and hash(again) == hash(a)
+        for b in pool:
+            assert (a == b) == (_matrix(a) == _matrix(b))
+
+
+def test_exponent_lookup_and_sorted_pairs():
+    sys = CoxeterSystem(5, [(4, 2, 5), (1, 3, 3), (3, 2, 7)])
+    assert all(sys.m(i, i) == 1 for i in sys.generators)
+    assert sys.m(2, 4) == sys.m(4, 2) == 5
+    assert sys.m(1, 2) == INFINITY and sys.m(5, 1) == INFINITY
+    assert sys.finite_pairs() == [(1, 3, 3), (2, 3, 7), (2, 4, 5)]
+    assert sys.finite_pairs() == sorted(sys.finite_pairs())
+    assert isinstance(sys.finite_pairs(), list)
+
+
+def test_system_is_immutable_and_picklable():
+    sys = path_system([3, 5, 7])
+    with pytest.raises(AttributeError):
+        sys.rank = 9
+    again = pickle.loads(pickle.dumps(sys))
+    assert again == sys and hash(again) == hash(sys)
+
+
+def test_constructor_rejects_bad_edges():
+    with pytest.raises(DiagonalNotOne):
+        CoxeterSystem(2, [(2, 2, 3)])
+    with pytest.raises(MalformedInvariant):
+        CoxeterSystem(2, [(1, 3, 3)])
+    with pytest.raises(MalformedInvariant):
+        CoxeterSystem(0)
+    with pytest.raises(NotSymmetric):
+        CoxeterSystem(3, [(1, 2, 3), (2, 1, 5)])
+    with pytest.raises(EvenOrSmallExponent):
+        CoxeterSystem(2, [(1, 2, 4)])
+    with pytest.raises(EvenOrSmallExponent):
+        CoxeterSystem(2, [(1, 2, INFINITY)])
+    with pytest.raises(EvenOrSmallExponent):
+        path_system([3, 1])
+    assert path_system([3, INFINITY]).finite_pairs() == [(1, 2, 3)]
+
+
+def test_huge_rank_file_loads_without_quadratic_memory():
+    tracemalloc.start()
+    try:
+        sys = system_from_json('{"rank": 100000}')
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys.rank == 100000 and sys.finite_pairs() == []
+    assert sys.m(1, 99999) == INFINITY
+    assert peak < 40 * 100000  # linear in the rank; rank^2 cells would be 10^10
+
+
+def test_absurd_rank_file_is_rejected():
+    with pytest.raises(SystemFileError):
+        system_from_json('{"rank": 1000000000000}')
+    assert system_from_json('{"rank": 1000000}').rank == 1000000
+
+
+def test_relabel_rejects_a_non_permutation():
+    sys = path_system([3, 3, 3])
+    for perm in ([1, 2, 4, 1], [1, 2, 3], [1, 2, 3, 5], [2, 2, 3, 4]):
+        with pytest.raises(MalformedInvariant):
+            relabel(sys, perm)
+    assert relabel(sys, [4, 3, 2, 1]) == sys
+
+
+def test_rank_ten_thousand_star_reduces_quickly():
+    # the target is 50 ms on a desk machine; the bound leaves room for slow hosts
+    start = time.perf_counter()
+    s = canonical_star(SystemInvariant(10_000, (3,) * 9_999))
+    canon = reduce_word(s.system, (1, 2, 1, 5, 7, 3, 1, 3, 9, 9))
+    elapsed = time.perf_counter() - start
+    assert canon == (1, 2, 1, 5, 7, 1, 3, 1)
+    assert elapsed < 2.0

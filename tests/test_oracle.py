@@ -8,7 +8,13 @@ from oddcox import (
     inverse_word,
     validate_system,
 )
-from oddcox.errors import BallBudgetExceeded
+from oddcox.errors import (
+    BadLetter,
+    BadSearchRequest,
+    BallBudgetExceeded,
+    EvenOrSmallExponent,
+    NegativeRadius,
+)
 from conftest import star
 
 
@@ -141,3 +147,17 @@ def test_ball_layers_match_amalgam_length_series():
         for w in ball.elements:
             layers[len(w)] += 1
         assert layers == frozen
+
+
+def test_bad_oracle_arguments_raise_named_errors():
+    sys3 = star(3).system
+    with pytest.raises(NegativeRadius):
+        cayley_ball(sys3, -1)
+    with pytest.raises(BadSearchRequest):
+        ball_search(sys3, "conjugator", (1,), radius=1)
+    with pytest.raises(BadSearchRequest):
+        ball_search(sys3, "normalizer", (1,), radius=1)
+    with pytest.raises(EvenOrSmallExponent):
+        dihedral_model(4)
+    with pytest.raises(BadLetter):
+        dihedral_model(3).evaluate((1, 3))

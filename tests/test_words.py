@@ -27,6 +27,7 @@ from oddcox.errors import (
     NotInvolution,
     OrbitBudgetExceeded,
 )
+from oddcox.words import _strip_pairs, check_word
 from conftest import star
 
 
@@ -77,6 +78,43 @@ def test_reduce_validates_letters():
         reduce_word(star(3).system, (0,))
     with pytest.raises(BadLetter):
         reduce_word(star(3).system, (1, 7))
+
+
+def test_check_word_reports_the_first_bad_letter():
+    sys = star(3).system
+    with pytest.raises(BadLetter, match="letter True is not an integer"):
+        check_word(sys, (1, True, 9))
+    with pytest.raises(BadLetter, match="letter 9 out of range 1..2"):
+        check_word(sys, (1, 9, "x"))
+    with pytest.raises(BadLetter, match="letter 'x' is not an integer"):
+        check_word(sys, [2, "x", 0])
+    with pytest.raises(BadLetter, match="letter 1.0 is not an integer"):
+        check_word(sys, (1.0,))
+
+    class Letter(int):
+        pass
+
+    assert check_word(sys, iter([1, Letter(2)])) == (1, 2)
+    assert check_word(sys, []) == ()
+
+
+def _strip_pairs_by_deletion(word):
+    w = list(word)
+    idx = 0
+    while idx < len(w) - 1:
+        if w[idx] == w[idx + 1]:
+            del w[idx : idx + 2]
+            idx = max(idx - 1, 0)
+        else:
+            idx += 1
+    return tuple(w)
+
+
+def test_strip_pairs_matches_deletion_reference():
+    rng = random.Random(5)
+    for _ in range(500):
+        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 14)))
+        assert _strip_pairs(w) == _strip_pairs_by_deletion(w)
 
 
 def test_reduce_budget_cap():
