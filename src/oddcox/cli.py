@@ -334,19 +334,13 @@ def cmd_ln(ns):
     raise SystemFileError(f"unknown ln subcommand {ns.ln_command!r}")
 
 
-TWISTED_TABLE_CAP = 2000  # full tables are quadratic in the group order
-
-
 def cmd_twisted(ns):
+    cap = pathgroups.DEFAULT_GROUP_CAP
     if ns.family == "sym":
-        elements, table = pathgroups.symmetric_group_table(
-            ns.n, cap=TWISTED_TABLE_CAP
-        )
+        elements, table = pathgroups.symmetric_group_table(ns.n)
     else:
-        if ns.n > TWISTED_TABLE_CAP:
-            raise _UsageError(
-                f"cyclic order {ns.n} exceeds the table cap {TWISTED_TABLE_CAP}"
-            )
+        if ns.n > cap:
+            raise _UsageError(f"cyclic order {ns.n} exceeds the table cap {cap}")
         table = pathgroups.cyclic_group_table(ns.n)
         elements = None
     if ns.aut == "identity":

@@ -103,6 +103,10 @@ class CoxeterSystem:
             return 1
         return self._rows[i].get(j, INFINITY)
 
+    def neighbors(self, i: int) -> dict:
+        """Finite exponents at vertex i, as a map neighbour -> m.  Do not mutate."""
+        return self._rows[i]
+
     @property
     def generators(self) -> range:
         return range(1, self.rank + 1)

@@ -125,6 +125,10 @@ class NonIntegerResult(OddCoxeterError):
     slug = "non-integer-result"
 
 
+class BadIndex(OddCoxeterError):
+    slug = "bad-index"
+
+
 class NotBijectiveHom(OddCoxeterError):
     slug = "not-bijective-hom"
 

@@ -22,6 +22,7 @@ from typing import Sequence
 from .core import INFINITY, CoxeterSystem, classify, path_system
 from .errors import (
     BadGroupTable,
+    BadIndex,
     BadLetter,
     CertificateFailed,
     GroupTooLarge,
@@ -37,7 +38,8 @@ from .words import DEFAULT_ORBIT_BUDGET, alternating, reduce_word
 from .autkit import Endomorphism, apply, make_endo, satisfies_relations
 
 DEFAULT_IMAGE_CAP = 10**5
-DEFAULT_GROUP_CAP = 10**5
+# group tables are |G| x |G|, so this cap keeps one to 4 million cells
+DEFAULT_GROUP_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,11 @@ def format_cycles(perm: Permutation) -> str:
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like "(1 3 4)(2 5)"; "()" is the identity."""
+    """Parse disjoint cycle notation like "(1 3 4)(2 5)"; "()" is the identity.
+
+    A point may appear at most once in the whole text: "(1 1)" or
+    "(1 2)(2 1)" is refused rather than read as some other permutation.
+    """
     text = text.strip()
     images = list(range(1, degree + 1))
     if text in ("()", ""):
@@ -121,6 +127,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not text.startswith("(") or not text.endswith(")"):
         raise NotBijectiveHom(f"cannot parse permutation {text!r}")
     body = text[1:-1]
+    used: set[int] = set()
     for chunk in body.split(")("):
         try:
             entries = [int(tok) for tok in chunk.split()]
@@ -131,6 +138,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for v in entries:
             if not (1 <= v <= degree):
                 raise NotBijectiveHom(f"cycle entry {v} out of range 1..{degree}")
+            if v in used:
+                raise NotBijectiveHom(f"cycle entry {v} appears twice")
+            used.add(v)
         for pos, v in enumerate(entries):
             images[v - 1] = entries[(pos + 1) % len(entries)]
     return Permutation(tuple(images))
@@ -367,9 +377,11 @@ def free_rank(sys: CoxeterSystem, index: int) -> int:
 
     Uses rank = 1 - index * chi where chi is the rational Euler measure
     of the group: half of (sum of reciprocal finite exponents minus
-    (rank - 2)).  Refuses loudly on a non-integer result, which signals a
-    violated precondition.
+    (rank - 2)).  Refuses loudly on an index below 1 and on a non-integer
+    result, which signals a violated precondition.
     """
+    if index < 1:
+        raise BadIndex(f"index must be at least 1, got {index}")
     if not classify(sys).in_tw:
         raise NotInTW("system is not an odd connected tree of rank >= 2")
     chi = (

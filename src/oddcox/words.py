@@ -1,20 +1,46 @@
-"""Word problem for odd tree Coxeter systems.
+"""Word problem for odd Coxeter systems.
 
 Words are tuples of 1-based generator indices; every generator is an
 involution, so the inverse of a word is its reversal.  The canonical form
 of an element is the ShortLex-least reduced word: shortest first, then
-lexicographically least.  It is computed by alternating two steps until
-neither applies:
+lexicographically least.  ``_reduce_cached`` computes it in four steps:
 
-* delete an adjacent equal pair of letters,
-* explore the orbit of the word under braid moves, where a braid move
-  replaces an alternating factor (s t s ...) of length m(s, t) (finite)
-  by (t s t ...).
+1. Delete adjacent equal pairs.  If no alternating factor (a b a ...) of
+   m(a, b) letters remains, no braid move applies, so by Tits' solution
+   of the word problem the word is reduced and is the only reduced
+   spelling of its element: return it.
+2. One stack pass that also rewrites an alternating factor of m + 1
+   letters as the opposite factor of m - 1 letters,
+   (a b ...)_(m+1) = (b a ...)_(m-1).  Return early as in step 1.
+3. Read the word from the right through the small-root automaton of
+   Brink and Howlett (Math. Ann. 296, 1993).  After each letter the state
+   is the set of small roots in the left inversion set of the suffix
+   read, each tagged with the letter that introduced it.  A letter x
+   whose simple root alpha_x is already in the state is a left descent;
+   by the exchange condition it cancels against the tagged letter, both
+   are deleted and the letters after the tag are read again.
+4. The ShortLex-least spelling starts with the least left descent s,
+   which is the least simple root in the final state.  Emit s, delete
+   its tagged letter (leaving a reduced word for s w), re-read the
+   letters after it and repeat.
 
-When no orbit member contains an adjacent equal pair the word is reduced
-and the ShortLex-least orbit member is returned.  Orbit exploration is
-capped by a configurable budget; exceeding it raises rather than
-returning a wrong answer.
+Every exponent is odd, so at least 3, and the small roots are exactly the
+simple roots and the positive roots of the finite rank-2 parabolics
+{a, b}.  Small roots are the closure of the simple roots under beta ->
+s_u beta for -1 < B(alpha_u, beta) < 0.  Take u outside the support of a
+non-simple root beta = a alpha_s + b alpha_t of I_2(m).  Then a, b >= 1
+and B(alpha_u, alpha_s), B(alpha_u, alpha_t) <= -1/2, so
+B(alpha_u, beta) <= -1 and s_u beta is not small; inside {s, t} all
+positive roots of the finite dihedral group are small.  This holds for
+every system ``CoxeterSystem`` accepts, trees or not.  A state therefore
+holds O(max m) roots and reading a letter costs O(max m); each exchange
+or emission re-reads at most the whole word, so a reduction is at most
+quadratic in the word length.
+
+``budget`` caps the rewrite steps of one reduction, counting the input
+as the first: each step-2 rewrite, each step-3 exchange and each step-4
+emission whose letter is not already in front.  Exceeding it raises
+``OrbitBudgetExceeded`` rather than returning a wrong answer.
 
 Conjugation is fixed as ``conjugate(v, x) = x v x^-1`` throughout the
 package; the inner map induced by ``x`` sends g to x g x^-1.
@@ -22,11 +48,10 @@ package; the inner map induced by ``x`` sends g to x g x^-1.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Sequence
 
-from .core import INFINITY, CoxeterSystem, StarForm
+from .core import CoxeterSystem, StarForm
 from .errors import (
     BadLetter,
     NoDescentStep,
@@ -75,50 +100,157 @@ def _strip_pairs(word: Word) -> Word:
     return tuple(out)
 
 
-def _braid_neighbors(sys: CoxeterSystem, word: Word):
-    n = len(word)
-    for p in range(n - 1):
-        a, b = word[p], word[p + 1]
-        if a == b:
+def _has_braid_site(sys: CoxeterSystem, word: Word) -> bool:
+    """Whether some alternating factor (a b a ...) has m(a, b) letters.
+
+    ``word`` has no adjacent equal pair, so each letter either extends the
+    alternating run ending before it or starts a run of two.
+    """
+    neighbors = sys.neighbors
+    prev = prev2 = 0
+    run = 1
+    for x in word:
+        run = run + 1 if x == prev2 else 2
+        # every finite exponent is at least 3
+        if run >= 3 and run >= neighbors(x).get(prev, run + 1):
+            return True
+        prev2, prev = prev, x
+    return False
+
+
+class _Steps:
+    """Rewrite steps of one reduction, the input counting as the first."""
+
+    __slots__ = ("count", "budget")
+
+    def __init__(self, budget: int):
+        self.count = 1
+        self.budget = budget
+
+    def take(self):
+        self.count += 1
+        if self.count > self.budget:
+            raise OrbitBudgetExceeded(
+                f"word engine exceeded {self.budget} rewrite steps"
+            )
+
+
+def _shorten_runs(sys: CoxeterSystem, word: Word, steps: _Steps) -> tuple[list, bool]:
+    """One stack pass: cancel equal pairs, rewrite (a b ...) of m + 1 letters
+    as (b a ...) of m - 1 letters.
+
+    Returns the letters and whether an alternating run of m letters may
+    remain (False only when none does).
+    """
+    neighbors = sys.neighbors
+    out: list[int] = []
+    runs: list[int] = []  # runs[i]: the alternating run ending at out[i]
+    pending = list(reversed(word))  # the next letter is last
+    braidable = False
+    while pending:
+        x = pending.pop()
+        if not out:
+            out.append(x)
+            runs.append(1)
             continue
-        m = sys.m(a, b)
-        if m == INFINITY or p + m > n:
+        y = out[-1]
+        if y == x:
+            out.pop()
+            runs.pop()
             continue
-        factor = alternating(a, b, m)
-        if word[p : p + m] == factor:
-            yield word[:p] + alternating(b, a, m) + word[p + m :]
+        run = runs[-1] + 1 if len(out) >= 2 and out[-2] == x else 2
+        if run >= 3:
+            m = neighbors(x).get(y)
+            if m is not None and run >= m:
+                if run > m:
+                    # (a b ...)_(m+1) = (b a ...)_(m-1): drop the run's first
+                    # letter and x, and re-read the rest after the new neighbour
+                    steps.take()
+                    rest = out[-m + 1 :]
+                    del out[-m:]
+                    del runs[-m:]
+                    pending.extend(reversed(rest))
+                    continue
+                braidable = True
+        out.append(x)
+        runs.append(run)
+    return out, braidable
+
+
+def _read(sys: CoxeterSystem, letters: list, states: list, pending: list, steps: _Steps):
+    """Read ``pending`` (the next letter last) through the small-root automaton.
+
+    ``letters`` is the reduced word read so far, rightmost letter first,
+    and ``states[k]`` is the small-root state after ``letters[:k]``: a
+    dict from each small root in the left inversion set to the index of
+    the letter that introduced it.  A simple root alpha_y is the key y; the
+    root rho_k (0 < k < m - 1) of the pair a < b is the key (a, b, k),
+    where rho_0 = alpha_a, rho_(m-1) = alpha_b, s_a sends rho_k to
+    rho_(m-k) and s_b sends rho_k to rho_(m-2-k).  When the next letter x
+    is already a left descent, the exchange condition deletes x and the
+    letter that introduced alpha_x, and the letters after it are re-read.
+    """
+    neighbors = sys.neighbors
+    while pending:
+        x = pending.pop()
+        state = states[-1]
+        tag = state.get(x)
+        if tag is not None:
+            steps.take()
+            pending.extend(reversed(letters[tag + 1 :]))
+            del letters[tag:]
+            del states[tag + 1 :]
+            continue
+        row = neighbors(x)
+        new = {x: len(letters)}
+        for key, tag in state.items():
+            if type(key) is int:
+                m = row.get(key)
+                if m is not None:
+                    if x < key:
+                        new[(x, key, 1)] = tag
+                    else:
+                        new[(key, x, m - 2)] = tag
+                continue
+            a, b, k = key
+            if x == a:
+                m = row[b]
+                k = m - k
+                new[b if k == m - 1 else (a, b, k)] = tag
+            elif x == b:
+                k = row[a] - 2 - k
+                new[a if k == 0 else (a, b, k)] = tag
+        letters.append(x)
+        states.append(new)
 
 
 @lru_cache(maxsize=None)
 def _reduce_cached(sys: CoxeterSystem, word: Word, budget: int) -> Word:
     current = _strip_pairs(word)
-    while True:
-        seen = {current}
-        queue = deque([current])
-        best = current
-        shortened = None
-        while queue:
-            w = queue.popleft()
-            for nb in _braid_neighbors(sys, w):
-                if nb in seen:
-                    continue
-                if len(seen) >= budget:
-                    raise OrbitBudgetExceeded(
-                        f"braid orbit exceeded {budget} states"
-                    )
-                seen.add(nb)
-                stripped = _strip_pairs(nb)
-                if len(stripped) < len(nb):
-                    shortened = stripped
-                    break
-                if nb < best:
-                    best = nb
-                queue.append(nb)
-            if shortened is not None:
-                break
-        if shortened is None:
-            return best
-        current = shortened
+    if not _has_braid_site(sys, current):
+        return current
+    steps = _Steps(budget)
+    letters, braidable = _shorten_runs(sys, current, steps)
+    if not braidable:
+        return tuple(letters)
+    # step 3: the reduced word, rightmost letter first, with its states
+    reduced: list[int] = []
+    states: list[dict] = [{}]
+    _read(sys, reduced, states, letters, steps)
+    # step 4: peel off the least left descent until nothing is left
+    out = []
+    while reduced:
+        state = states[-1]
+        s = min(key for key in state if type(key) is int)
+        tag = state[s]
+        out.append(s)
+        if tag != len(reduced) - 1:
+            steps.take()
+        pending = reduced[: tag : -1]
+        del reduced[tag:]
+        del states[tag + 1 :]
+        _read(sys, reduced, states, pending, steps)
+    return tuple(out)
 
 
 def reduce_word(

@@ -221,6 +221,9 @@ BAD_ARGVS = [
     ["ln", "pi", "0", "1"],
     ["ln", "witness", "3"],
     ["ln", "rank", "4", "-1"],
+    ["ln", "rank", "4", "0"],
+    ["ln", "rank", "4", "-6"],
+    ["twisted", "sym", "3", "conj", "(1 1)"],
     ["out", "{path53}"],
     ["commutator", "{triangle}"],
     ["canonical-star", "{triangle}"],

@@ -18,6 +18,7 @@ from oddcox import (
     twisted_count,
 )
 from oddcox.errors import (
+    BadIndex,
     BadLetter,
     GroupTooLarge,
     NonIntegerResult,
@@ -28,6 +29,7 @@ from oddcox.errors import (
     UnsupportedShape,
 )
 from oddcox.pathgroups import (
+    DEFAULT_GROUP_CAP,
     Permutation,
     conjugation_map,
     cyclic_group_table,
@@ -53,6 +55,12 @@ def test_permutation_cycle_format_and_parse():
     assert format_cycles(parse_cycles("(1 2)(3 4)", 4)) == "(1 2)(3 4)"
     q = parse_cycles("(1 3 4)(2 5)", 5)
     assert parse_cycles(format_cycles(q), 5) == q
+
+
+def test_parse_cycles_rejects_a_repeated_entry():
+    for text in ("(1 1)", "(1 2 1)", "(1 2)(2 1)", "(1 2)(3 1)"):
+        with pytest.raises(NotBijectiveHom, match="appears twice"):
+            parse_cycles(text, 3)
 
 
 def test_permutation_composition_order():
@@ -286,6 +294,12 @@ def test_free_rank_refuses_non_integer():
         free_rank(build_ln(4), 5)
 
 
+def test_free_rank_refuses_an_index_below_one():
+    for index in (0, -1, -6):
+        with pytest.raises(BadIndex):
+            free_rank(build_ln(4), index)
+
+
 def test_free_rank_matches_certified_collapse_rank5():
     pres = rs_kernel(build_ln(5), symmetric_images(5))
     assert certified_free_rank(pres) == 61 == free_rank(build_ln(5), 120)
@@ -346,6 +360,13 @@ def test_twisted_rejects_non_homomorphism():
     _, table = symmetric_group_table(3)
     with pytest.raises(NotBijectiveHom):
         twisted_count(table, inversion_map(table))  # inversion not a hom on S3
+
+
+def test_default_group_cap_bounds_the_table():
+    # S_7 has 5040 elements: its table would hold 25 million cells
+    assert DEFAULT_GROUP_CAP**2 <= 4 * 10**6
+    with pytest.raises(GroupTooLarge):
+        symmetric_group_table(7)
 
 
 def test_twisted_group_cap():
