@@ -9,12 +9,18 @@ kernel of the projection is the pure subgroup.
 Reidemeister-Schreier presentations of kernels are computed from a full
 coset table over the image group's elements with a ShortLex Schreier
 transversal.  Tietze simplification is limited to removing trivial
-relators and eliminating generators pinned by length-1 relators.
+relators and eliminating generators pinned by length-1 relators; it is
+one worklist pass, linear in the total relator length, whose result
+equals that of re-scanning every relator after each elimination.
+
+The coset table and the |G| x |G| group tables come from one
+breadth-first search over the Cayley graph that composes image tuples
+directly; a group-table row is filled along the search tree, two list
+lookups per cell.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -162,14 +168,19 @@ def symmetric_images(n: int) -> list[Permutation]:
 
 def pi_image(n: int, word: Sequence[int]) -> Permutation:
     """Image of a path word in S_n, leftmost letter applied first."""
-    out = identity_perm(n)
+    # Swapping positions i, i+1 of a list composes on the right with the
+    # transposition, so the swaps build the inverse of the image.
+    inv = list(range(1, n + 1))
     for letter in word:
         if not isinstance(letter, int) or isinstance(letter, bool) or not (
             1 <= letter <= n - 1
         ):
             raise BadLetter(f"letter {letter} out of range 1..{n - 1}")
-        out = out * transposition(n, letter)
-    return out
+        inv[letter - 1], inv[letter] = inv[letter], inv[letter - 1]
+    images = [0] * n
+    for pos, v in enumerate(inv, start=1):
+        images[v - 1] = pos
+    return Permutation(tuple(images))
 
 
 def is_pure(n: int, word: Sequence[int]) -> bool:
@@ -250,43 +261,81 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
 
 
 def _simplify_limited(num_symbols: int, relators: list) -> FinitePresentation:
-    """Drop trivial relators; kill generators pinned by length-1 relators."""
-    alive = [True] * num_symbols
-    rels = [list(r) for r in relators]
-    changed = True
-    while changed:
-        changed = False
-        cleaned = []
-        seen = set()
-        for r in rels:
-            r = [s for s in r if alive[abs(s) - 1]]
-            if not r:
-                continue
-            key = tuple(r)
-            if key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(r)
-        rels = cleaned
-        for r in rels:
-            if len(r) == 1:
-                alive[abs(r[0]) - 1] = False
-                changed = True
-                break
-    renumber = {}
-    for idx, ok in enumerate(alive):
-        if ok:
-            renumber[idx + 1] = len(renumber) + 1
+    """Drop trivial relators; kill generators pinned by length-1 relators.
+
+    A relator pins a symbol when that symbol is its only live letter.  A
+    relator that pins s still pins s after more symbols die, so the set
+    killed is the same in any order: a worklist of relators with one live
+    letter finds it in time linear in the total relator length.  The
+    survivors are then filtered, deduplicated (first occurrence wins) and
+    renumbered.
+    """
+    alive = [True] * (num_symbols + 1)
+    occurs = [[] for _ in range(num_symbols + 1)]
+    live = []
+    for idx, r in enumerate(relators):
+        for s in r:
+            occurs[abs(s)].append(idx)
+        live.append(len(r))
+    stack = [idx for idx, count in enumerate(live) if count == 1]
+    while stack:
+        idx = stack.pop()
+        if live[idx] != 1:
+            continue
+        victim = next(abs(s) for s in relators[idx] if alive[abs(s)])
+        alive[victim] = False
+        for other in occurs[victim]:
+            live[other] -= 1
+            if live[other] == 1:
+                stack.append(other)
+    renumber = [0] * (num_symbols + 1)
+    count = 0
+    for sym in range(1, num_symbols + 1):
+        if alive[sym]:
+            count += 1
+            renumber[sym] = count
     out = []
     seen = set()
-    for r in rels:
+    for r in relators:
         mapped = tuple(
-            renumber[s] if s > 0 else -renumber[-s] for s in r
+            renumber[s] if s > 0 else -renumber[-s] for s in r if alive[abs(s)]
         )
         if mapped and mapped not in seen:
             seen.add(mapped)
             out.append(mapped)
-    return FinitePresentation(len(renumber), tuple(out))
+    return FinitePresentation(count, tuple(out))
+
+
+def _cayley_bfs(gens: Sequence[Permutation], cap: int, too_large):
+    """Breadth-first search of the Cayley graph of <gens> from the identity.
+
+    Returns (elements, right, tree): ``elements`` lists the group in BFS
+    order as Permutations, ``right[e][k]`` is the position of
+    elements[e] * gens[k], and ``tree[e]`` is the (parent, k) edge that
+    first reached e (None for the identity).  Calls ``too_large()`` for
+    the exception to raise when a new element would exceed ``cap``.  All
+    gens must share one degree.
+    """
+    start = tuple(range(1, gens[0].degree + 1))
+    maps = [(0,) + g.images for g in gens]  # maps[k][x] is the image of x
+    index = {start: 0}
+    keys = [start]
+    right = []
+    tree = [None]
+    for state, a in enumerate(keys):  # keys grows while it is read: BFS
+        row = []
+        for k, g in enumerate(maps):
+            key = tuple(map(g.__getitem__, a))
+            pos = index.get(key)
+            if pos is None:
+                if len(keys) >= cap:
+                    raise too_large()
+                pos = index[key] = len(keys)
+                keys.append(key)
+                tree.append((state, k))
+            row.append(pos)
+        right.append(row)
+    return [Permutation(key) for key in keys], right, tree
 
 
 def rs_kernel(
@@ -323,41 +372,31 @@ def rs_kernel(
             )
 
     # BFS over the image group: ShortLex transversal and full coset table
-    index = {ident.images: 0}
-    elements = [ident]
-    tree_edge = set()
-    queue = deque([0])
-    while queue:
-        state = queue.popleft()
-        for letter in range(1, n + 1):
-            nxt = elements[state] * images[letter - 1]
-            key = nxt.images
-            if key not in index:
-                if len(elements) >= image_cap:
-                    raise ImageTooLarge(f"image group exceeds {image_cap} elements")
-                index[key] = len(elements)
-                elements.append(nxt)
-                tree_edge.add((state, letter))
-                queue.append(index[key])
-    size = len(elements)
-    table = [
-        [index[(elements[s] * images[l - 1]).images] for l in range(1, n + 1)]
-        for s in range(size)
-    ]
+    _, table, tree = _cayley_bfs(
+        images,
+        image_cap,
+        lambda: ImageTooLarge(f"image group exceeds {image_cap} elements"),
+    )
 
-    # Schreier generators: one symbol per non-tree (coset, letter) pair
-    symbol = {}
-    for s in range(size):
-        for letter in range(1, n + 1):
-            if (s, letter) not in tree_edge:
-                symbol[(s, letter)] = len(symbol) + 1
+    # Schreier generators: one symbol per non-tree (coset, letter) pair;
+    # symbol[s][letter - 1] is 0 on a tree edge
+    symbol = [[1] * n for _ in table]
+    for parent, k in tree[1:]:
+        symbol[parent][k] = 0
+    count = 0
+    for row in symbol:
+        for k in range(n):
+            if row[k]:
+                count += 1
+                row[k] = count
 
     def rewrite(state: int, relator: Sequence[int]) -> list:
         out = []
         cur = state
         for letter in relator:
-            if (cur, letter) in symbol:
-                out.append(symbol[(cur, letter)])
+            sym = symbol[cur][letter - 1]
+            if sym:
+                out.append(sym)
             cur = table[cur][letter - 1]
         return out
 
@@ -365,11 +404,8 @@ def rs_kernel(
     defining += [
         alternating(i, j, 2 * m) for i, j, m in sys.finite_pairs()
     ]
-    relators = []
-    for s in range(size):
-        for rel in defining:
-            relators.append(rewrite(s, rel))
-    return _simplify_limited(len(symbol), relators)
+    relators = [rewrite(s, rel) for s in range(len(table)) for rel in defining]
+    return _simplify_limited(count, relators)
 
 
 def free_rank(sys: CoxeterSystem, index: int) -> int:
@@ -431,24 +467,20 @@ def perm_group_table(gens: Sequence[Permutation], cap: int = DEFAULT_GROUP_CAP):
     """Element list and multiplication table of the group the gens generate."""
     if not gens:
         raise NotBijectiveHom("need at least one generator")
-    degree = gens[0].degree
-    ident = identity_perm(degree)
-    index = {ident.images: 0}
-    elements = [ident]
-    queue = deque([0])
-    while queue:
-        state = queue.popleft()
-        for g in gens:
-            nxt = elements[state] * g
-            if nxt.images not in index:
-                if len(elements) >= cap:
-                    raise GroupTooLarge(f"group exceeds {cap} elements")
-                index[nxt.images] = len(elements)
-                elements.append(nxt)
-                queue.append(index[nxt.images])
-    table = [
-        [index[(a * b).images] for b in elements] for a in elements
-    ]
+    if any(g.degree != gens[0].degree for g in gens):
+        raise NotBijectiveHom("degrees differ")
+    elements, right, tree = _cayley_bfs(
+        gens, cap, lambda: GroupTooLarge(f"group exceeds {cap} elements")
+    )
+    # elements[b] = elements[parent] * gens[k] with parent < b, so
+    # a * elements[b] = (a * elements[parent]) * gens[k]
+    steps = tree[1:]
+    table = []
+    for a in range(len(elements)):
+        row = [a]
+        for parent, k in steps:
+            row.append(right[row[parent]][k])
+        table.append(row)
     return elements, table
 
 
@@ -497,11 +529,15 @@ def twisted_count(
     if sorted(aut) != list(range(size)):
         raise NotBijectiveHom("map is not a bijection")
     for a in range(size):
-        for b in range(size):
-            if aut[table[a][b]] != table[aut[a]][aut[b]]:
-                raise NotBijectiveHom(
-                    f"map fails multiplicativity at ({a}, {b})"
-                )
+        # compare whole rows; look for the failing cell only in a bad row
+        row = table[a]
+        target = table[aut[a]]
+        if [aut[x] for x in row] != [target[x] for x in aut]:
+            for b in range(size):
+                if aut[row[b]] != target[aut[b]]:
+                    raise NotBijectiveHom(
+                        f"map fails multiplicativity at ({a}, {b})"
+                    )
     inverse = _inverses_of(table)
     parent = list(range(size))
 
