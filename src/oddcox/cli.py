@@ -162,8 +162,8 @@ def cmd_multiply(ns):
 
 def cmd_ball(ns):
     sys = _load_system(ns.system)
-    orbit, ball_budget = _budgets(ns)
-    ball = oracle.cayley_ball(sys, ns.radius, ball_budget, orbit)
+    _, ball_budget = _budgets(ns)
+    ball = oracle.cayley_ball(sys, ns.radius, ball_budget)
     facts = [("size", len(ball.elements))]
     for w in ball.elements:
         facts.append(("element", words.format_word(w)))

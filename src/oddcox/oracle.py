@@ -1,8 +1,11 @@
-"""Brute-force ground truth: Cayley balls, dihedral tables, bounded searches.
+"""Desk-scale ground truth: Cayley balls, dihedral tables, bounded searches.
 
-Everything here is deliberately independent of the cleverer routines it
-is used to check.  Failures are explicit errors, never silently truncated
-results.
+The ball enumerates ShortLex normal forms through the word engine's
+small-root automaton, so it is not independent of the engine.  The
+dihedral model is; the independent checks of the engine and the ball
+are the test suite's braid-orbit reducer (``tests/braid_oracle.py``)
+and reduce-and-dedup reference ball (``tests/ball_oracle.py``).
+Failures are explicit errors, never silently truncated results.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import (
     EvenOrSmallExponent,
     NegativeRadius,
 )
-from .words import DEFAULT_ORBIT_BUDGET, check_word, inverse_word, reduce_word
+from .words import DEFAULT_ORBIT_BUDGET, _push, check_word, reduce_word
 
 DEFAULT_BALL_BUDGET = 10**5
 
@@ -33,30 +36,42 @@ class CayleyBall:
 
 
 def cayley_ball(
-    sys: CoxeterSystem,
-    radius: int,
-    ball_budget: int = DEFAULT_BALL_BUDGET,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
+    sys: CoxeterSystem, radius: int, ball_budget: int = DEFAULT_BALL_BUDGET
 ) -> CayleyBall:
-    """Breadth-first enumeration with canonical-form deduplication."""
+    """Layer by layer enumeration of canonical words.
+
+    The canonical form of an element v is s c(s v), where s is the least
+    left descent of v (step 4 of the word engine), so the canonical words
+    of length r are exactly the words (s,) + u with u canonical of length
+    r - 1, s not a left descent of u and s the least simple root in the
+    small-root state of s u.  Each element is built once, from the tail
+    of its canonical form, with one automaton step and no reduction.
+    Taking s in increasing order over a sorted layer keeps each layer
+    sorted.
+    """
     if radius < 0:
         raise NegativeRadius(f"radius must be nonnegative, got {radius}")
-    seen = {()}
-    layers = [[()]]
+    neighbors = sys.neighbors
+    elements = [()]
+    # the previous layer, each word with its small-root state
+    frontier: list = [((), {})]
     for r in range(1, radius + 1):
-        layer = set()
-        for w in layers[r - 1]:
-            for g in sys.generators:
-                canon = reduce_word(sys, w + (g,), orbit_budget)
-                if len(canon) == r and canon not in seen:
-                    if len(seen) >= ball_budget:
-                        raise BallBudgetExceeded(
-                            f"ball exceeded {ball_budget} elements"
-                        )
-                    seen.add(canon)
-                    layer.add(canon)
-        layers.append(sorted(layer))
-    elements = [w for layer in layers for w in layer]
+        layer = []
+        for s in sys.generators:
+            row = neighbors(s)
+            for u, state in frontier:
+                if s in state:
+                    continue
+                new = _push(row, state, s, r - 1)
+                if any(type(key) is int and key < s for key in new):
+                    continue
+                if len(elements) >= ball_budget:
+                    raise BallBudgetExceeded(f"ball exceeded {ball_budget} elements")
+                w = (s,) + u
+                elements.append(w)
+                if r < radius:
+                    layer.append((w, new))
+        frontier = layer
     return CayleyBall(system=sys, radius=radius, elements=tuple(elements))
 
 
@@ -133,10 +148,11 @@ def ball_search(
         target = reduce_word(sys, a, orbit_budget)
     else:
         raise BadSearchRequest(f"unknown search kind {kind!r}")
-    ball = cayley_ball(sys, radius, ball_budget, orbit_budget)
-    hits = []
-    for x in ball.elements:
-        image = reduce_word(sys, x + a + inverse_word(x), orbit_budget)
-        if image == target:
-            hits.append(x)
-    return hits
+    ball = cayley_ball(sys, radius, ball_budget)
+    # x a x^-1 = target exactly when x a = target x
+    return [
+        x
+        for x in ball.elements
+        if reduce_word(sys, x + a, orbit_budget)
+        == reduce_word(sys, target + x, orbit_budget)
+    ]

@@ -201,27 +201,45 @@ def _read(sys: CoxeterSystem, letters: list, states: list, pending: list, steps:
             del letters[tag:]
             del states[tag + 1 :]
             continue
-        row = neighbors(x)
-        new = {x: len(letters)}
-        for key, tag in state.items():
-            if type(key) is int:
-                m = row.get(key)
-                if m is not None:
-                    if x < key:
-                        new[(x, key, 1)] = tag
-                    else:
-                        new[(key, x, m - 2)] = tag
-                continue
-            a, b, k = key
-            if x == a:
-                m = row[b]
-                k = m - k
-                new[b if k == m - 1 else (a, b, k)] = tag
-            elif x == b:
-                k = row[a] - 2 - k
-                new[a if k == 0 else (a, b, k)] = tag
+        states.append(_push(neighbors(x), state, x, len(letters)))
         letters.append(x)
-        states.append(new)
+
+
+def _push(row: dict, state: dict, x: int, index: int) -> dict:
+    """The state after the letter x, which must not be a left descent.
+
+    ``row`` is ``sys.neighbors(x)``, ``state`` the small-root state of the
+    word read so far (keys as in ``_read``) and ``index`` the tag of the
+    new simple root alpha_x.  Every root s_x beta for beta in ``state``
+    keeps the tag of beta; one that is not small is dropped.
+    """
+    new = {x: index}
+    for key, tag in state.items():
+        if type(key) is int:
+            m = row.get(key)
+            if m is not None:
+                if x < key:
+                    new[(x, key, 1)] = tag
+                else:
+                    new[(key, x, m - 2)] = tag
+            continue
+        a, b, k = key
+        if x == a:
+            m = row[b]
+            k = m - k
+            new[b if k == m - 1 else (a, b, k)] = tag
+        elif x == b:
+            k = row[a] - 2 - k
+            new[a if k == 0 else (a, b, k)] = tag
+    return new
+
+
+def _descents(sys: CoxeterSystem, canon: Word) -> set:
+    """Left descents of a reduced word: the simple roots in its state."""
+    state: dict = {}
+    for index, x in enumerate(reversed(canon)):
+        state = _push(sys.neighbors(x), state, x, index)
+    return {key for key in state if type(key) is int}
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +317,7 @@ def left_descents(
     sys: CoxeterSystem, word: Sequence[int], budget: int = DEFAULT_ORBIT_BUDGET
 ) -> set:
     """Generators s with length(s w) < length(w)."""
-    canon = reduce_word(sys, word, budget)
-    length = len(canon)
-    return {
-        s
-        for s in sys.generators
-        if len(reduce_word(sys, (s,) + canon, budget)) < length
-    }
+    return _descents(sys, reduce_word(sys, word, budget))
 
 
 def support(
@@ -339,7 +351,8 @@ def involution_to_base(
         raise NotInvolution("word does not square to the identity")
     acc: list[int] = []
     while len(cur) > 1:
-        for s in sys.generators:
+        # s v s is shorter by 2 only if s is a left descent of v
+        for s in sorted(_descents(sys, cur)):
             cand = reduce_word(sys, (s,) + cur + (s,), budget)
             if len(cand) == len(cur) - 2:
                 acc.insert(0, s)

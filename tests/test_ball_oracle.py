@@ -1,0 +1,147 @@
+"""The automaton-walking Cayley ball and the half-length ball search
+against the reduce-and-dedup references in ``ball_oracle``."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oddcox import (
+    ball_search,
+    cayley_ball,
+    involution_to_base,
+    left_descents,
+    validate_system,
+)
+from oddcox.core import CoxeterSystem
+from oddcox.errors import BallBudgetExceeded, OddCoxeterError
+from oddcox.words import _reduce_cached, alternating, inverse_word, reduce_word
+from ball_oracle import reference_ball, reference_search
+from conftest import star
+from test_engine_oracle import PATH_3333, SYSTEMS
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_ball_matches_reference(name):
+    sys, radius = SYSTEMS[name]
+    assert cayley_ball(sys, radius).elements == reference_ball(sys, radius)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_dihedral_ball_matches_reference_past_the_order(m):
+    sys = validate_system([[1, m], [m, 1]])
+    for radius in range(m + 4):
+        elements = cayley_ball(sys, radius).elements
+        assert elements == reference_ball(sys, radius)
+    assert len(elements) == 2 * m
+
+
+# balls of at most about 2,000 elements
+MAX_RADIUS = {1: 3, 2: 10, 3: 7, 4: 5, 5: 4, 6: 4}
+
+
+@st.composite
+def system_and_radius(draw):
+    rank = draw(st.integers(1, 6))
+    labels = st.sampled_from([None, 3, 5, 7, 9])
+    edges = []
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
+            m = draw(labels)
+            if m is not None:
+                edges.append((i, j, m))
+    return CoxeterSystem(rank, edges), draw(st.integers(0, MAX_RADIUS[rank]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(system_and_radius())
+def test_ball_matches_reference_on_generated_systems(case):
+    sys, radius = case
+    assert cayley_ball(sys, radius).elements == reference_ball(sys, radius)
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except OddCoxeterError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize(
+    "sys, radius",
+    [(star(3, 3).system, 4), (PATH_3333, 4), (validate_system([[1, 3], [3, 1]]), 5)],
+)
+def test_budget_refusals_match_reference(sys, radius):
+    size = len(reference_ball(sys, radius))
+    for budget in sorted({-1, 0, 1, 2, 3, size // 2, size - 1, size, size + 1}):
+        for r in range(radius + 1):
+            got = _outcome(lambda *a: cayley_ball(*a).elements, sys, r, budget)
+            assert got == _outcome(reference_ball, sys, r, budget), (budget, r)
+    with pytest.raises(BallBudgetExceeded, match=f"ball exceeded {size - 1} elements"):
+        cayley_ball(sys, radius, size - 1)
+
+
+def test_ball_makes_no_reductions():
+    _reduce_cached.cache_clear()
+    cayley_ball(PATH_3333, 5)
+    assert _reduce_cached.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("sys", [PATH_3333, star(3, 5, 7).system])
+def test_left_descents_match_the_length_definition(sys):
+    for w in cayley_ball(sys, 5).elements:
+        for word in (w, inverse_word(w)):
+            length = len(reduce_word(sys, word))
+            expected = {
+                s
+                for s in sys.generators
+                if len(reduce_word(sys, (s,) + word)) < length
+            }
+            assert left_descents(sys, word) == expected, word
+
+
+def _involution_to_base_over_every_generator(star_, v):
+    """The length descent trying every generator, least first."""
+    sys = star_.system
+    cur, acc = reduce_word(sys, v), ()
+    while len(cur) > 1:
+        s = next(
+            s
+            for s in sys.generators
+            if len(reduce_word(sys, (s,) + cur + (s,))) == len(cur) - 2
+        )
+        acc, cur = (s,) + acc, reduce_word(sys, (s,) + cur + (s,))
+    j = cur[0]
+    shift = alternating(j, 1, 2) * ((star_.t_of(j) - 1) // 2) if j != 1 else ()
+    return reduce_word(sys, shift + acc)
+
+
+@pytest.mark.parametrize("exponents", [(3, 3), (3, 5, 7)])
+def test_involution_to_base_takes_the_least_shortening_generator(exponents):
+    s = star(*exponents)
+    involutions = [
+        v
+        for v in cayley_ball(s.system, 6).elements
+        if v and reduce_word(s.system, v + v) == ()
+    ]
+    assert len(involutions) > 10
+    for v in involutions:
+        assert involution_to_base(s, v) == _involution_to_base_over_every_generator(s, v)
+
+
+SEARCHES = [
+    ("centralizer", (1,), None),
+    ("centralizer", (2, 3), None),
+    ("centralizer", (1, 2, 1), None),
+    ("conjugator", (1,), (2,)),
+    ("conjugator", (2,), (3, 2, 3)),
+    ("conjugator", (1, 2), (2, 1)),
+    ("conjugator", (1, 3), (2, 4)),
+]
+
+
+@pytest.mark.parametrize("sys", [PATH_3333, star(3, 5, 7).system])
+@pytest.mark.parametrize("kind, a, b", SEARCHES)
+def test_search_matches_the_conjugation_form(sys, kind, a, b):
+    for radius in (0, 2, 4):
+        hits = ball_search(sys, kind, a, b, radius=radius)
+        assert hits == reference_search(sys, kind, a, b, radius=radius)
