@@ -57,6 +57,7 @@ from .autkit import (
     graph_auto,
     identity_endo,
     inner_auto,
+    invert_factorization,
     is_inner,
     make_endo,
     normality_witness,

@@ -10,7 +10,8 @@ collects, per leaf i, the exponent k of the reflection map
 w_i -> w_1 (w_1 w_i)^k.  ``factorize`` recovers the three parts and
 checks the recomposition; failure of any step is reported as
 ``NotAutomorphism``, which doubles as the non-surjectivity detector used
-by ``try_invert``.
+by ``try_invert``.  Inverses and normality witnesses are computed from
+the three factors, so each image is reduced once.
 
 Composition convention: compose(e1, e2) applies e2 first.
 """
@@ -35,9 +36,10 @@ from .errors import (
 )
 from .words import (
     DEFAULT_ORBIT_BUDGET,
+    Word,
+    _dihedral_position,
     alternating,
     check_word,
-    dihedral_log,
     inverse_word,
     involution_to_base,
     reduce_word,
@@ -87,6 +89,8 @@ def satisfies_relations(
     sys: CoxeterSystem, e: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> bool:
     """Do the images satisfy every defining relation of the system?"""
+    if e.system != sys:
+        raise NotAutomorphism("endomorphism belongs to a different system")
     for i in sys.generators:
         if apply(sys, e, (i, i), budget) != ():
             return False
@@ -127,10 +131,9 @@ def theta_auto(
     t = star.t_of(i)
     if not (1 <= k < t) or math.gcd(k, t) != 1:
         raise BadThetaExponent(f"exponent {k} invalid for leaf of label {t}")
-    sys = star.system
-    images = [(g,) for g in sys.generators]
-    images[i - 1] = reduce_word(sys, (1,) + alternating(1, i, 2) * k, budget)
-    return Endomorphism(system=sys, images=tuple(images))
+    cvec = [1] * (star.rank - 1)
+    cvec[i - 2] = k
+    return theta_product(star, cvec, budget)
 
 
 def _normalize_perm(star: StarForm, perm) -> tuple:
@@ -162,18 +165,22 @@ def theta_product(
     star: StarForm, cvec: Sequence[int], budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
     """Product of leaf maps with the given exponents, ascending leaf order."""
+    identity = tuple(star.leaves)
+    f = AutFactorization(inner=(), cvec=_check_cvec(star, cvec), perm=identity)
+    return recompose(star, f, budget)
+
+
+def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
+    """The exponent vector as a tuple, each entry a unit mod its leaf label."""
     if len(cvec) != star.rank - 1:
         raise BadThetaExponent(
             f"expected {star.rank - 1} exponents, got {len(cvec)}"
         )
-    sys = star.system
-    images = [(1,)]
     for leaf, k in zip(star.leaves, cvec):
         t = star.t_of(leaf)
         if not (1 <= k < t) or math.gcd(k, t) != 1:
             raise BadThetaExponent(f"exponent {k} invalid for leaf {leaf}")
-        images.append(reduce_word(sys, (1,) + alternating(1, leaf, 2) * k, budget))
-    return Endomorphism(system=sys, images=tuple(images))
+    return tuple(cvec)
 
 
 def compose(
@@ -210,22 +217,52 @@ class AutFactorization:
         return all(self.perm_of(i) == i for i in range(2, len(self.perm) + 2))
 
 
+def _core(f: AutFactorization, g: int) -> Word:
+    """Image of generator g under graph(perm) o exponent_product(cvec):
+    the center is fixed and leaf g goes to w_1 (w_1 w_perm(g))^k."""
+    if g == 1:
+        return (1,)
+    return (1,) + alternating(1, f.perm_of(g), 2) * f.cvec[g - 2]
+
+
 def recompose(
     star: StarForm, f: AutFactorization, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
     sys = star.system
     x = check_word(sys, f.inner)
     xinv = inverse_word(x)
-    images = []
-    for g in sys.generators:
-        if g == 1:
-            core = (1,)
-        else:
-            k = f.cvec[g - 2]
-            target = f.perm_of(g)
-            core = (1,) + alternating(1, target, 2) * k
-        images.append(reduce_word(sys, xinv + core + x, budget))
-    return Endomorphism(system=sys, images=tuple(images))
+    return Endomorphism(
+        system=sys,
+        images=tuple(
+            reduce_word(sys, xinv + _core(f, g) + x, budget) for g in sys.generators
+        ),
+    )
+
+
+def invert_factorization(
+    star: StarForm, f: AutFactorization, budget: int = DEFAULT_ORBIT_BUDGET
+) -> AutFactorization:
+    """Factors of the inverse automorphism, computed from the factors.
+
+    With psi = graph(perm) o exponent_product(cvec) the map is
+    inner(x^-1) o psi, so its inverse is psi^-1 o inner(x), which equals
+    inner(psi^-1(x)) o psi^-1.  Conjugating an exponent product by a
+    diagram symmetry permutes its exponents, so
+    psi^-1 = graph(perm^-1) o exponent_product(c') with
+    c'_g = cvec_(perm^-1(g))^-1 mod t_g; the inner word is the reversal
+    of psi^-1(x).
+    """
+    sys = star.system
+    x = check_word(sys, f.inner)
+    back = {j: i for i, j in zip(star.leaves, _normalize_perm(star, f.perm))}
+    cvec = _check_cvec(star, f.cvec)
+    psi = AutFactorization(
+        inner=(),
+        cvec=tuple(pow(cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
+        perm=tuple(back[g] for g in star.leaves),
+    )
+    image = reduce_word(sys, tuple(a for g in x for a in _core(psi, g)), budget)
+    return AutFactorization(inner=inverse_word(image), cvec=psi.cvec, perm=psi.perm)
 
 
 def factorize(
@@ -239,18 +276,21 @@ def factorize(
     finally the recomposition must reproduce the input on every generator.
     """
     sys = star.system
-    image_of_center = reduce_word(sys, e.image_of(1), budget)
-    if image_of_center == ():
+    if e.system != sys:
+        raise NotAutomorphism("cannot compose endomorphisms of different systems")
+    images = tuple(reduce_word(sys, w, budget) for w in e.images)
+    if images[0] == ():
         raise NotAutomorphism("center generator maps to the identity")
     try:
-        x = involution_to_base(star, image_of_center, budget)
+        x = involution_to_base(star, images[0], budget)
     except NotInvolution as exc:
         raise NotAutomorphism(f"center image is not an involution: {exc}") from exc
-    psi = compose(inner_auto(star, x, budget), e, budget)
+    xinv = inverse_word(x)
     perm = {}
     cvec = {}
     for i in star.leaves:
-        u = psi.image_of(i)
+        # the leaf's image under psi = inner(x) o e
+        u = reduce_word(sys, x + images[i - 1] + xinv, budget)
         letters = set(u)
         leaf_letters = letters - {1}
         if len(leaf_letters) != 1:
@@ -259,7 +299,7 @@ def factorize(
                 "expected exactly one maximal dihedral subgroup"
             )
         (j,) = leaf_letters
-        parity, k = dihedral_log(star, j, u, budget)
+        parity, k = _dihedral_position(star.t_of(j), u)
         if parity != "odd":
             raise NotAutomorphism(f"image of leaf {i} is a rotation, not a reflection")
         if star.t_of(i) != star.t_of(j):
@@ -282,7 +322,7 @@ def factorize(
     )
     rebuilt = recompose(star, f, budget)
     for g in sys.generators:
-        if rebuilt.image_of(g) != reduce_word(sys, e.image_of(g), budget):
+        if rebuilt.image_of(g) != images[g - 1]:
             raise NotAutomorphism(
                 f"recomposition differs from the input on generator {g}"
             )
@@ -329,11 +369,13 @@ def normality_witness(
     if is_inner(star, f):
         raise IsInnerNoWitness("inner automorphisms preserve every normal subgroup")
     sys = star.system
-    phi = recompose(star, f, budget)
+    x = check_word(sys, f.inner)
+    xinv = inverse_word(x)
 
     def certified(g, pair):
         quotient, mapping = merge_generators(star, *pair)
-        image = apply(sys, phi, g, budget)
+        # the image of g = g1 g2 under inner(x^-1) o psi
+        image = reduce_word(sys, xinv + _core(f, g[0]) + _core(f, g[1]) + x, budget)
         pushed = tuple(mapping[letter - 1] for letter in image)
         evidence = reduce_word(quotient, pushed, budget)
         if evidence == ():
@@ -367,29 +409,15 @@ def try_invert(
 ) -> Endomorphism:
     """Invert a verified endomorphism or prove it not surjective.
 
-    A verified endomorphism that factorizes is an automorphism and each
-    factor inverts termwise; one that does not factorize cannot be onto.
+    A verified endomorphism that factorizes is an automorphism and its
+    factors invert (``invert_factorization``); one that does not factorize
+    cannot be onto.
     """
     try:
         f = factorize(star, e, budget)
     except NotAutomorphism as exc:
         raise NotSurjective(f"endomorphism is not onto: {exc}") from exc
-    inv_perm = {}
-    for i in star.leaves:
-        inv_perm[f.perm_of(i)] = i
-    inv_cvec = []
-    for i in star.leaves:
-        t = star.t_of(i)
-        inv_cvec.append(pow(f.cvec[i - 2], -1, t))
-    inverse = compose(
-        theta_product(star, inv_cvec, budget),
-        compose(
-            graph_auto(star, inv_perm),
-            inner_auto(star, f.inner, budget),
-            budget,
-        ),
-        budget,
-    )
+    inverse = recompose(star, invert_factorization(star, f, budget), budget)
     ident = identity_endo(star.system)
     forward = compose(e, inverse, budget)
     backward = compose(inverse, e, budget)

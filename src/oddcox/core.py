@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DiagonalNotOne,
@@ -424,21 +424,3 @@ def system_from_json(text: str) -> CoxeterSystem:
             raise SystemFileError(f"{where}: duplicate edge {key[0]}-{key[1]}")
         seen.add(key)
     return CoxeterSystem(rank, ((e["u"], e["v"], e["m"]) for e in edges))
-
-
-def relabel(sys: CoxeterSystem, perm: Sequence[int]) -> CoxeterSystem:
-    """System with vertices renamed by ``perm`` (perm[i-1] is the new name of i)."""
-    if sorted(perm) != list(sys.generators):
-        raise MalformedInvariant(f"perm must be a permutation of 1..{sys.rank}")
-    edges = ((perm[i - 1], perm[j - 1], m) for i, j, m in sys.edges)
-    return CoxeterSystem(sys.rank, edges)
-
-
-def random_tree_system(rng, rank: int, labels: Iterable[int] = (3, 5, 7, 9)) -> CoxeterSystem:
-    """Random member of the validated tree family (for tests and demos)."""
-    labels = tuple(labels)
-    edges = []
-    for v in range(2, rank + 1):
-        parent = rng.randint(1, v - 1)
-        edges.append((parent, v, rng.choice(labels)))
-    return CoxeterSystem(rank, edges)

@@ -99,39 +99,6 @@ def c_order(star: StarForm) -> int:
     return total
 
 
-# cvec helpers: tuples over the leaves, componentwise arithmetic mod t_i
-
-
-def cvec_identity(star: StarForm) -> tuple:
-    return tuple(1 for _ in star.leaves)
-
-
-def cvec_minus_one(star: StarForm) -> tuple:
-    return tuple(star.t_of(i) - 1 for i in star.leaves)
-
-
-def cvec_mul(star: StarForm, a: Sequence[int], b: Sequence[int]) -> tuple:
-    return tuple(
-        (x * y) % star.t_of(i) for i, x, y in zip(star.leaves, a, b)
-    )
-
-
-def cvec_span(star: StarForm, generators: Sequence[Sequence[int]]) -> set:
-    """Subgroup of C generated by the given cvecs, by closure."""
-    span = {cvec_identity(star)}
-    frontier = list(span)
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in generators:
-                w = cvec_mul(star, v, g)
-                if w not in span:
-                    span.add(w)
-                    new.append(w)
-        frontier = new
-    return span
-
-
 @dataclass(frozen=True)
 class ComplementD:
     """Complement of the +-1 subgroup inside C, as generating cvecs."""

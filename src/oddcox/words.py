@@ -3,7 +3,7 @@
 Words are tuples of 1-based generator indices; every generator is an
 involution, so the inverse of a word is its reversal.  The canonical form
 of an element is the ShortLex-least reduced word: shortest first, then
-lexicographically least.  ``_reduce_cached`` computes it in four steps:
+lexicographically least.  ``_reduce`` computes it in four steps:
 
 1. Delete adjacent equal pairs.  If no alternating factor (a b a ...) of
    m(a, b) letters remains, no braid move applies, so by Tits' solution
@@ -40,7 +40,8 @@ quadratic in the word length.
 ``budget`` caps the rewrite steps of one reduction, counting the input
 as the first: each step-2 rewrite, each step-3 exchange and each step-4
 emission whose letter is not already in front.  Exceeding it raises
-``OrbitBudgetExceeded`` rather than returning a wrong answer.
+``OrbitBudgetExceeded`` rather than returning a wrong answer.  Nothing
+is memoized: every call reduces its word afresh and keeps no state.
 
 Conjugation is fixed as ``conjugate(v, x) = x v x^-1`` throughout the
 package; the inner map induced by ``x`` sends g to x g x^-1.
@@ -48,7 +49,6 @@ package; the inner map induced by ``x`` sends g to x g x^-1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .core import CoxeterSystem, StarForm
@@ -242,8 +242,7 @@ def _descents(sys: CoxeterSystem, canon: Word) -> set:
     return {key for key in state if type(key) is int}
 
 
-@lru_cache(maxsize=None)
-def _reduce_cached(sys: CoxeterSystem, word: Word, budget: int) -> Word:
+def _reduce(sys: CoxeterSystem, word: Word, budget: int) -> Word:
     current = _strip_pairs(word)
     if not _has_braid_site(sys, current):
         return current
@@ -275,7 +274,7 @@ def reduce_word(
     sys: CoxeterSystem, word: Sequence[int], budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Word:
     """Canonical (ShortLex-least reduced) form of the element spelled by ``word``."""
-    return _reduce_cached(sys, check_word(sys, word), budget)
+    return _reduce(sys, check_word(sys, word), budget)
 
 
 def word_length(
@@ -386,7 +385,11 @@ def dihedral_log(
     letters = set(canon)
     if not letters <= {1, j}:
         raise NotInParabolic(f"support {sorted(letters)} is not inside {{1, {j}}}")
-    t = star.t_of(j)
+    return _dihedral_position(star.t_of(j), canon)
+
+
+def _dihedral_position(t: int, canon: Word):
+    """``dihedral_log`` of a reduced word on {1, j} with t = t_j."""
     parity, k = 0, 0
     for letter in canon:
         if letter == 1:

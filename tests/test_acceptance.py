@@ -38,7 +38,6 @@ from oddcox import (
     validate_system,
     verify_endo,
 )
-from oddcox.core import random_tree_system, relabel
 from oddcox.errors import NotAutomorphism, NotSurjective
 from oddcox.pathgroups import (
     cyclic_group_table,
@@ -48,6 +47,7 @@ from oddcox.pathgroups import (
     symmetric_images,
 )
 from conftest import star
+from helpers import random_tree_system, relabel
 from test_units import brute_splits
 from tietze_oracle import certified_free_rank
 

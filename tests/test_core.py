@@ -23,7 +23,6 @@ from oddcox import (
     system_to_json,
     validate_system,
 )
-from oddcox.core import random_tree_system, relabel
 from oddcox.errors import (
     DiagonalNotOne,
     EvenOrSmallExponent,
@@ -35,6 +34,7 @@ from oddcox.errors import (
     SystemFileError,
 )
 from conftest import star
+from helpers import random_tree_system, relabel
 
 
 def test_validate_smallest_odd_system():

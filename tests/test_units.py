@@ -12,13 +12,12 @@ from oddcox import (
 from oddcox.errors import EvenModulus
 from oddcox.units import (
     c_order,
-    cvec_minus_one,
-    cvec_span,
     euler_phi,
     factorize_int,
     units,
 )
 from conftest import star
+from helpers import cvec_minus_one, cvec_span
 
 
 # ------------------------------------------------------------- unit groups
