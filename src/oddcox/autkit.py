@@ -78,6 +78,9 @@ def apply(
     budget: int = DEFAULT_ORBIT_BUDGET,
 ):
     """Canonical form of the image of a word: substitute letterwise, reduce."""
+    # identity first: compose calls this once per generator with the same system
+    if e.system is not sys and e.system != sys:
+        raise NotAutomorphism("endomorphism belongs to a different system")
     word = check_word(sys, word)
     out: list[int] = []
     for letter in word:
@@ -89,8 +92,6 @@ def satisfies_relations(
     sys: CoxeterSystem, e: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> bool:
     """Do the images satisfy every defining relation of the system?"""
-    if e.system != sys:
-        raise NotAutomorphism("endomorphism belongs to a different system")
     for i in sys.generators:
         if apply(sys, e, (i, i), budget) != ():
             return False
@@ -166,7 +167,7 @@ def theta_product(
 ) -> Endomorphism:
     """Product of leaf maps with the given exponents, ascending leaf order."""
     identity = tuple(star.leaves)
-    f = AutFactorization(inner=(), cvec=_check_cvec(star, cvec), perm=identity)
+    f = AutFactorization(inner=(), cvec=tuple(cvec), perm=identity)
     return recompose(star, f, budget)
 
 
@@ -225,11 +226,18 @@ def _core(f: AutFactorization, g: int) -> Word:
     return (1,) + alternating(1, f.perm_of(g), 2) * f.cvec[g - 2]
 
 
+def _checked_inner(star: StarForm, f: AutFactorization) -> Word:
+    """The inner word of f, once its permutation and exponents are validated."""
+    _normalize_perm(star, f.perm)
+    _check_cvec(star, f.cvec)
+    return check_word(star.system, f.inner)
+
+
 def recompose(
     star: StarForm, f: AutFactorization, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
     sys = star.system
-    x = check_word(sys, f.inner)
+    x = _checked_inner(star, f)
     xinv = inverse_word(x)
     return Endomorphism(
         system=sys,
@@ -366,10 +374,10 @@ def normality_witness(
     When neither case applies no merge quotient can tell the automorphism
     from a normal one and the search fails explicitly.
     """
+    x = _checked_inner(star, f)
     if is_inner(star, f):
         raise IsInnerNoWitness("inner automorphisms preserve every normal subgroup")
     sys = star.system
-    x = check_word(sys, f.inner)
     xinv = inverse_word(x)
 
     def certified(g, pair):

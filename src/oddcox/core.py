@@ -188,22 +188,16 @@ class Classification:
 def classify(sys: CoxeterSystem) -> Classification:
     """Connectivity and tree shape of the finite-exponent diagram."""
     n = sys.rank
-    adjacency: dict[int, list[int]] = {i: [] for i in sys.generators}
-    edge_count = 0
-    for i, j, _ in sys.finite_pairs():
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-        edge_count += 1
     seen = {1}
     stack = [1]
     while stack:
         v = stack.pop()
-        for w in adjacency[v]:
+        for w in sys.neighbors(v):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     connected = len(seen) == n
-    tree = connected and edge_count == n - 1
+    tree = connected and len(sys.edges) == n - 1
     return Classification(
         odd=True,
         connected=connected,
@@ -256,12 +250,6 @@ class StarForm:
 
     def t_of(self, leaf: int) -> int:
         return self.t[leaf - 2]
-
-    def block_of(self, leaf: int) -> tuple:
-        for block in self.blocks:
-            if leaf in block:
-                return block
-        raise NotStarForm(f"no leaf {leaf}")
 
 
 def _star_system(ts: Sequence[int]) -> CoxeterSystem:

@@ -217,11 +217,7 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
     if not classify(sys).in_tw:
         raise NotInTW("system is not an odd connected tree of rank >= 2")
     n = sys.rank
-    degree = {i: 0 for i in sys.generators}
-    for i, j, _ in sys.finite_pairs():
-        degree[i] += 1
-        degree[j] += 1
-    if n == 2 or degree[1] == n - 1:
+    if n == 2 or len(sys.neighbors(1)) == n - 1:
         # star centered at 1
         orders = [sys.m(1, i) for i in range(2, n + 1)]
         if any(m == INFINITY for m in orders):
@@ -237,7 +233,7 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
             names=names,
         )
     if all(sys.m(i, i + 1) != INFINITY for i in range(1, n)) and all(
-        degree[i] <= 2 for i in sys.generators
+        len(sys.neighbors(i)) <= 2 for i in sys.generators
     ):
         # path labeled consecutively
         orders = [sys.m(i, i + 1) for i in range(1, n)]

@@ -4,13 +4,15 @@ The abelian subgroup C of the automorphism group of a star is the product
 over leaves of the unit groups mod the leaf exponents.  Its elements are
 exponent vectors ("cvecs") multiplied componentwise.  Conjugation by the
 center generator sits inside C as the all-(t-1) vector, written -1 here.
+C is handled through its prime-power factors (``unit_group(t).factors``):
+C/-1 is read off them in closed form, with no matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import StarForm
 from .errors import CertificateFailed, EvenModulus
@@ -122,47 +124,38 @@ def split_inn_c(star: StarForm) -> Optional[ComplementD]:
     an odd number, so its odd-order half complements -1 there, and the
     remaining factors pass through whole.
     """
-    chosen_leaf = None
-    chosen_p = None
-    for leaf in star.leaves:
-        p = _qualifying_prime(star.t_of(leaf))
-        if p is not None:
-            chosen_leaf, chosen_p = leaf, p
-            break
-    if chosen_leaf is None:
+    chosen = next(
+        (
+            (leaf, p)
+            for leaf in star.leaves
+            for p, _, _ in unit_group(star.t_of(leaf)).factors
+            if p % 4 == 3
+        ),
+        None,
+    )
+    if chosen is None:
         return None
     generators = []
     order = 1
     for leaf in star.leaves:
         t = star.t_of(leaf)
-        for p, e in factorize_int(t):
+        for p, e, d in unit_group(t).factors:
             q = p**e
             g = primitive_root(p, e)
-            component_order = (p - 1) * p ** (e - 1)
-            if leaf == chosen_leaf and p == chosen_p:
-                g = pow(g, 2, q)  # odd-order index-2 subgroup
-                component_order //= 2
-            if component_order == 1:
+            if (leaf, p) == chosen:
+                g, d = pow(g, 2, q), d // 2  # odd-order index-2 subgroup
+                # arithmetic certificate: -1 does not lie in the odd-order half
+                if pow(q - 1, d, q) == 1:
+                    raise CertificateFailed("-1 landed in the odd-order half")
+            if d == 1:
                 continue
             rest = t // q
             # lift: congruent to g mod q, to 1 mod the other prime powers
-            if rest == 1:
-                lifted = g % t
-            else:
-                inv = pow(q, -1, rest)
-                lifted = (g + q * ((1 - g) * inv % rest)) % t
+            lifted = (g + q * ((1 - g) * pow(q, -1, rest) % rest)) % t
             vec = [1] * (star.rank - 1)
             vec[leaf - 2] = lifted
             generators.append(tuple(vec))
-            order *= component_order
-    # arithmetic certificate: -1 has no odd-order component in the halved factor
-    t0 = star.t_of(chosen_leaf)
-    for p, e in factorize_int(t0):
-        if p == chosen_p:
-            q = p**e
-            half = ((p - 1) * p ** (e - 1)) // 2
-            if pow(q - 1, half, q) == 1:
-                raise CertificateFailed("-1 landed in the odd-order half")
+            order *= d
     if order != c_order(star) // 2:
         raise CertificateFailed(
             f"complement has order {order}, expected {c_order(star) // 2}"
@@ -170,82 +163,34 @@ def split_inn_c(star: StarForm) -> Optional[ComplementD]:
     return ComplementD(generators=tuple(generators), order=order)
 
 
-def _smith_invariants(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """Nontrivial invariant factors of Z^ncols modulo the row lattice."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    t = 0
-    invariants = []
-    while t < min(nrows, ncols):
-        # find pivot of smallest absolute value in the remaining block
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if mat[i][j] != 0 and (
-                    pivot is None or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        mat[t], mat[i0] = mat[i0], mat[t]
-        for row in mat:
-            row[t], row[j0] = row[j0], row[t]
-        again = False
-        for i in range(nrows):
-            if i != t and mat[i][t] != 0:
-                q = mat[i][t] // mat[t][t]
-                for j in range(ncols):
-                    mat[i][j] -= q * mat[t][j]
-                if mat[i][t] != 0:
-                    again = True
-        for j in range(ncols):
-            if j != t and mat[t][j] != 0:
-                q = mat[t][j] // mat[t][t]
-                for row in mat:
-                    row[j] -= q * row[t]
-                if mat[t][j] != 0:
-                    again = True
-        if again:
-            continue
-        # divisibility fix: pivot must divide the rest of the block
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if mat[i][j] % mat[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(ncols):
-                mat[t][j] += mat[offender][j]
-            continue
-        invariants.append(abs(mat[t][t]))
-        t += 1
-    return [d for d in invariants if d > 1]
-
-
-def _c_components(star: StarForm) -> list[int]:
-    """Cyclic component orders of C: per leaf, per prime power, ascending."""
-    comps = []
-    for leaf in star.leaves:
-        for p, e in factorize_int(star.t_of(leaf)):
-            comps.append((p - 1) * p ** (e - 1))
-    return comps
-
-
 def c_mod_minus_one_invariants(star: StarForm) -> tuple:
-    """Invariant factors of C modulo the -1 vector."""
-    comps = _c_components(star)
-    r = len(comps)
-    rows = []
-    for idx, d in enumerate(comps):
-        row = [0] * r
-        row[idx] = d
-        rows.append(row)
-    rows.append([d // 2 for d in comps])  # the unique order-2 element per factor
-    return tuple(sorted(_smith_invariants(rows, r)))
+    """Invariant factors of C modulo the -1 vector, in closed form.
+
+    C is the product of the cyclic groups Z/d_j, one per prime power of
+    each leaf exponent (``unit_group(t).factors``), so its primary parts
+    are read off the prime powers of each d_j.  Every d_j is even and -1
+    is the order-2 element d_j/2 of each factor, so it lives in the
+    2-part, the product of Z/2^v_j over generators e_j.  Let v be the
+    least v_j, reached at j0.  Then f = sum_j 2^(v_j - v) e_j has order
+    2^v and replaces e_j0 in a basis (its e_j0 coefficient is 1), and
+    -1 = sum_j 2^(v_j - 1) e_j = 2^(v-1) f.  Dividing it out therefore
+    lowers one smallest 2-part 2^v to 2^(v-1) and leaves every other part
+    alone.  The k-th largest invariant factor is the product over primes
+    of the k-th largest exponent of that prime.  No matrix is built.
+    """
+    exponents: dict[int, list[int]] = {}  # prime -> its exponent in each d_j
+    for leaf in star.leaves:
+        for _, _, d in unit_group(star.t_of(leaf)).factors:
+            for r, a in factorize_int(d):
+                exponents.setdefault(r, []).append(a)
+    twos = exponents[2]
+    twos[twos.index(min(twos))] -= 1  # divide out -1
+    ranked = [(r, sorted(a, reverse=True)) for r, a in exponents.items()]
+    invariants = (
+        math.prod(r ** a[k] for r, a in ranked if k < len(a))
+        for k in range(max(len(a) for _, a in ranked))
+    )
+    return tuple(sorted(n for n in invariants if n > 1))
 
 
 @dataclass(frozen=True)
