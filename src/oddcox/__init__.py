@@ -1,10 +1,11 @@
 """Computation with odd Coxeter groups whose diagrams are trees.
 
-Library plus CLI covering the word problem (braid-move rewriting with
-ShortLex canonical forms), the rank-and-multiset isomorphism test,
-construction and factorization of automorphisms of star presentations,
-splitting analysis of the automorphism extensions via unit groups mod m,
-commutator and pure-subgroup presentations, and brute-force oracles
+Library plus CLI covering the word problem (ShortLex normal forms from
+the Brink-Howlett small-root automaton), the rank-and-multiset
+isomorphism test, construction and factorization of automorphisms of
+star presentations, splitting analysis of the automorphism extensions
+via unit groups mod m, commutator and pure-subgroup presentations,
+twisted-conjugacy counts by Burnside's lemma, and brute-force oracles
 (Cayley balls, dihedral tables, bounded searches) that cross-check the
 structural results at desk scale.
 """

@@ -51,15 +51,12 @@ class CoxeterSystem:
 
     ``edges`` is the sorted tuple of (i, j, m) with i < j and m finite;
     edges given in any order or orientation are normalized to it, so two
-    systems are equal exactly when their exponent matrices are.  The hash
-    is computed once, because the word engine's cache hashes the system
-    on every reduction.
+    systems are equal exactly when their exponent matrices are.
     """
 
     rank: int
     edges: tuple = ()
     _rows: list = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rank = self.rank
@@ -92,10 +89,6 @@ class CoxeterSystem:
         edges = tuple(canon)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_hash", hash((rank, edges)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def m(self, i: int, j: int):
         """Exponent of the pair (i, j), 1-indexed."""

@@ -16,13 +16,15 @@ equals that of re-scanning every relator after each elimination.
 The coset table and the |G| x |G| group tables come from one
 breadth-first search over the Cayley graph that composes image tuples
 directly; a group-table row is filled along the search tree, two list
-lookups per cell.
+lookups per cell.  Twisted conjugacy classes on such a table are counted
+by Burnside's lemma, one row-against-column comparison per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .core import INFINITY, CoxeterSystem, classify, path_system
@@ -500,16 +502,13 @@ def _identity_of(table: Sequence[Sequence[int]]) -> int:
 
 
 def _inverses_of(table: Sequence[Sequence[int]]) -> list:
-    size = len(table)
     identity = _identity_of(table)
-    out = [None] * size
-    for a in range(size):
-        for b in range(size):
-            if table[a][b] == identity:
-                out[a] = b
-                break
-        if out[a] is None:
-            raise BadGroupTable(f"element {a} has no inverse in the table")
+    out = []
+    for a, row in enumerate(table):
+        try:
+            out.append(row.index(identity))
+        except ValueError:
+            raise BadGroupTable(f"element {a} has no inverse in the table") from None
     return out
 
 
@@ -518,7 +517,12 @@ def twisted_count(
     aut: Sequence[int],
     cap: int = DEFAULT_GROUP_CAP,
 ) -> int:
-    """Number of orbits of x ~ g x aut(g)^-1 over a finite group table."""
+    """Number of orbits of x ~ g x aut(g)^-1 over a finite group table.
+
+    By Burnside's lemma this is the mean over g of #{x : g x = x aut(g)}.
+    A sum that |G| does not divide comes from no group action, so the
+    table is refused.
+    """
     size = len(table)
     if size > cap:
         raise GroupTooLarge(f"group of order {size} exceeds cap {cap}")
@@ -534,24 +538,16 @@ def twisted_count(
                     raise NotBijectiveHom(
                         f"map fails multiplicativity at ({a}, {b})"
                     )
-    inverse = _inverses_of(table)
-    parent = list(range(size))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for x in range(size):
-        for g in range(size):
-            union(x, table[table[g][x]][inverse[aut[g]]])
-    return len({find(v) for v in range(size)})
+    _inverses_of(table)  # refuses a table without identity or inverses
+    fixed = sum(
+        sum(map(eq, table[g], map(itemgetter(aut[g]), table))) for g in range(size)
+    )
+    if fixed % size:
+        raise BadGroupTable(
+            f"table is not a group: fixed-point sum {fixed} "
+            f"is not divisible by the order {size}"
+        )
+    return fixed // size
 
 
 def conjugation_map(table: Sequence[Sequence[int]], g: int) -> list:

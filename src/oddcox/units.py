@@ -42,11 +42,6 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def units(m: int) -> list[int]:
-    """All units mod m by direct enumeration."""
-    return [x for x in range(1, m) if math.gcd(x, m) == 1]
-
-
 @dataclass(frozen=True)
 class UnitGroupStructure:
     """Unit group mod an odd m: one cyclic factor per odd prime power."""

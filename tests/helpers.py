@@ -1,6 +1,7 @@
 """Helpers used only by the test suite: random and relabelled systems,
-subgroups of the exponent group C, and image-level references for the
-factor-space automorphism algebra of ``oddcox.autkit``."""
+units mod m by enumeration, subgroups of the exponent group C, and
+image-level references for the factor-space automorphism algebra of
+``oddcox.autkit``."""
 
 from __future__ import annotations
 
@@ -38,6 +39,11 @@ def random_tree_system(rng, rank: int, labels: Iterable[int] = (3, 5, 7, 9)) -> 
         parent = rng.randint(1, v - 1)
         edges.append((parent, v, rng.choice(labels)))
     return CoxeterSystem(rank, edges)
+
+
+def units(m: int) -> list[int]:
+    """All units mod m by direct enumeration."""
+    return [x for x in range(1, m) if math.gcd(x, m) == 1]
 
 
 # exponent vectors ("cvecs"): tuples over the leaves, componentwise

@@ -1,16 +1,22 @@
 """Reference implementations of the path-group tools, kept for tests.
 
 These are the straightforward versions: the Cayley-graph search and the
-group table multiply ``Permutation`` objects, and the Tietze pass
-re-scans every relator after each elimination.  The library versions
-must return exactly what these return.
+group table multiply ``Permutation`` objects, the Tietze pass re-scans
+every relator after each elimination, and twisted classes are merged
+pair by pair in a union-find.  The library versions must return exactly
+what these return.
 """
 
 from collections import deque
 
 from oddcox.core import CoxeterSystem
-from oddcox.errors import GroupTooLarge, ImageTooLarge, NotBijectiveHom
-from oddcox.pathgroups import FinitePresentation, Permutation, identity_perm
+from oddcox.errors import BadGroupTable, GroupTooLarge, ImageTooLarge, NotBijectiveHom
+from oddcox.pathgroups import (
+    DEFAULT_GROUP_CAP,
+    FinitePresentation,
+    Permutation,
+    identity_perm,
+)
 from oddcox.words import alternating
 
 
@@ -122,6 +128,48 @@ def first_multiplicativity_failure(table, aut):
             if aut[table[a][b]] != table[aut[a]][aut[b]]:
                 return a, b
     return None
+
+
+def twisted_count(table, aut, cap=DEFAULT_GROUP_CAP):
+    """Orbits of x ~ g x aut(g)^-1, merged over all |G|^2 pairs (x, g)."""
+    size = len(table)
+    if size > cap:
+        raise GroupTooLarge(f"group of order {size} exceeds cap {cap}")
+    if sorted(aut) != list(range(size)):
+        raise NotBijectiveHom("map is not a bijection")
+    failure = first_multiplicativity_failure(table, aut)
+    if failure is not None:
+        raise NotBijectiveHom(f"map fails multiplicativity at {failure}")
+    identity = next(
+        (
+            e
+            for e in range(size)
+            if all(table[e][x] == x == table[x][e] for x in range(size))
+        ),
+        None,
+    )
+    if identity is None:
+        raise BadGroupTable("multiplication table has no identity element")
+    inverse = []
+    for a in range(size):
+        b = next((b for b in range(size) if table[a][b] == identity), None)
+        if b is None:
+            raise BadGroupTable(f"element {a} has no inverse in the table")
+        inverse.append(b)
+    parent = list(range(size))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for x in range(size):
+        for g in range(size):
+            rx, ry = find(x), find(table[table[g][x]][inverse[aut[g]]])
+            if rx != ry:
+                parent[rx] = ry
+    return len({find(v) for v in range(size)})
 
 
 def pi_image(n, word):

@@ -18,6 +18,7 @@ from oddcox import (
     twisted_count,
 )
 from oddcox.errors import (
+    BadGroupTable,
     BadIndex,
     BadLetter,
     GroupTooLarge,
@@ -360,6 +361,37 @@ def test_twisted_rejects_non_homomorphism():
     _, table = symmetric_group_table(3)
     with pytest.raises(NotBijectiveHom):
         twisted_count(table, inversion_map(table))  # inversion not a hom on S3
+
+
+def test_twisted_rejects_table_without_identity():
+    table = [[1, 1], [1, 1]]  # every product is 1
+    with pytest.raises(BadGroupTable, match="no identity element"):
+        twisted_count(table, [0, 1])
+
+
+def test_twisted_rejects_element_without_inverse():
+    table = [[0, 1, 2], [1, 0, 2], [2, 2, 2]]  # 2 absorbs, so 2 has no inverse
+    with pytest.raises(BadGroupTable, match="element 2 has no inverse"):
+        twisted_count(table, [0, 1, 2])
+
+
+def test_twisted_rejects_loop_with_indivisible_burnside_sum():
+    # an order-5 loop: identity and inverses exist but it is not associative,
+    # and its fixed-point sum 19 is not a multiple of 5
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(BadGroupTable, match="sum 19 is not divisible by the order 5"):
+        twisted_count(loop, list(range(5)))
+
+
+def test_cyclic_group_table_rejects_order_zero():
+    with pytest.raises(BadGroupTable, match="at least 1, got 0"):
+        cyclic_group_table(0)
 
 
 def test_default_group_cap_bounds_the_table():

@@ -1,5 +1,6 @@
 """The path-group tools against the reference versions in pathgroups_oracle."""
 
+import math
 import random
 import time
 
@@ -13,7 +14,10 @@ from oddcox.pathgroups import (
     Permutation,
     _simplify_limited,
     build_ln,
+    conjugation_map,
+    cyclic_group_table,
     identity_perm,
+    inversion_map,
     perm_group_table,
     pi_image,
     rs_kernel,
@@ -143,6 +147,31 @@ def test_twisted_count_names_the_first_failing_cell():
         with pytest.raises(NotBijectiveHom) as exc:
             twisted_count(table, aut)
         assert str(exc.value) == f"map fails multiplicativity at {failure}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_twisted_count_matches_union_find_on_symmetric_groups(n):
+    _, table = symmetric_group_table(n)
+    maps = [list(range(len(table)))]
+    maps += [conjugation_map(table, g) for g in range(len(table))]
+    for aut in maps:
+        assert twisted_count(table, aut) == oracle.twisted_count(table, aut)
+
+
+def test_twisted_count_matches_union_find_on_s6():
+    _, table = symmetric_group_table(6)
+    for g in random.Random(8).sample(range(720), 3):
+        aut = conjugation_map(table, g)
+        assert twisted_count(table, aut) == oracle.twisted_count(table, aut)
+
+
+def test_twisted_count_matches_union_find_on_cyclic_groups():
+    for n in range(1, 61):
+        table = cyclic_group_table(n)
+        maps = [list(range(n)), inversion_map(table)]
+        maps += [[k * x % n for x in range(n)] for k in range(n) if math.gcd(k, n) == 1]
+        for aut in maps:
+            assert twisted_count(table, aut) == oracle.twisted_count(table, aut)
 
 
 # --------------------------------------------------------------- pi image

@@ -14,10 +14,9 @@ from oddcox.units import (
     c_order,
     euler_phi,
     factorize_int,
-    units,
 )
 from conftest import star
-from helpers import cvec_minus_one, cvec_span
+from helpers import cvec_minus_one, cvec_span, units
 
 
 # ------------------------------------------------------------- unit groups
