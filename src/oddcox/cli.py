@@ -13,11 +13,12 @@ import sys as _sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import autkit, core, oracle, pathgroups, units, words
+# each handler imports the autkit, units, pathgroups or oracle it runs, so a
+# process loads only the modules of its own command
+from . import core, words
 from .errors import OddCoxeterError, SystemFileError
 
 ORBIT_DEFAULT = words.DEFAULT_ORBIT_BUDGET
-BALL_DEFAULT = oracle.DEFAULT_BALL_BUDGET
 
 
 @dataclass
@@ -45,14 +46,10 @@ def _load_star(path: str) -> core.StarForm:
     return core.star_form(_load_system(path))
 
 
-def _budgets(ns):
-    if ns_budget(ns) is None:
-        return ORBIT_DEFAULT, BALL_DEFAULT
-    return ns_budget(ns), ns_budget(ns)
-
-
-def ns_budget(ns):
-    return getattr(ns, "budget", None)
+def _budget(ns, default: int) -> int:
+    """The ``--budget`` value, or ``default`` when none is given."""
+    budget = getattr(ns, "budget", None)
+    return default if budget is None else budget
 
 
 def ns_format(ns):
@@ -137,14 +134,14 @@ def cmd_iso(ns):
 
 def cmd_reduce(ns):
     sys = _load_system(ns.system)
-    orbit, _ = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
     canon = words.reduce_word(sys, words.parse_word(ns.word), orbit)
     return [("_word", words.format_word(canon)), ("length", len(canon))]
 
 
 def cmd_equal(ns):
     sys = _load_system(ns.system)
-    orbit, _ = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
     result = words.equal(
         sys, words.parse_word(ns.word_w), words.parse_word(ns.word_v), orbit
     )
@@ -153,7 +150,7 @@ def cmd_equal(ns):
 
 def cmd_multiply(ns):
     sys = _load_system(ns.system)
-    orbit, _ = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
     canon = words.multiply(
         sys, words.parse_word(ns.word_w), words.parse_word(ns.word_v), orbit
     )
@@ -161,8 +158,10 @@ def cmd_multiply(ns):
 
 
 def cmd_ball(ns):
+    from . import oracle
+
     sys = _load_system(ns.system)
-    _, ball_budget = _budgets(ns)
+    ball_budget = _budget(ns, oracle.DEFAULT_BALL_BUDGET)
     ball = oracle.cayley_ball(sys, ns.radius, ball_budget)
     facts = [("size", len(ball.elements))]
     for w in ball.elements:
@@ -171,8 +170,11 @@ def cmd_ball(ns):
 
 
 def cmd_search(ns):
+    from . import oracle
+
     sys = _load_system(ns.system)
-    orbit, ball_budget = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
+    ball_budget = _budget(ns, oracle.DEFAULT_BALL_BUDGET)
     if ns.kind == "conjugator" and ns.word_b is None:
         raise _UsageError("conjugator search needs a target word")
     a = words.parse_word(ns.word_a)
@@ -188,15 +190,19 @@ def cmd_search(ns):
 
 
 def cmd_aut_verify(ns):
+    from . import autkit
+
     star = _load_star(ns.system)
-    orbit, _ = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
     endo = autkit.endo_from_json(star.system, _read(ns.endo))
     return [("verified", _bool(autkit.verify_endo(star, endo, orbit)))]
 
 
 def cmd_aut_factorize(ns):
+    from . import autkit, pathgroups
+
     star = _load_star(ns.system)
-    orbit, _ = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
     endo = autkit.endo_from_json(star.system, _read(ns.endo))
     f = autkit.factorize(star, endo, orbit)
     perm = pathgroups.Permutation(
@@ -211,8 +217,10 @@ def cmd_aut_factorize(ns):
 
 
 def cmd_aut_invert(ns):
+    from . import autkit
+
     star = _load_star(ns.system)
-    orbit, _ = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
     endo = autkit.endo_from_json(star.system, _read(ns.endo))
     inverse = autkit.try_invert(star, endo, orbit)
     facts = []
@@ -222,8 +230,10 @@ def cmd_aut_invert(ns):
 
 
 def cmd_aut_witness(ns):
+    from . import autkit
+
     star = _load_star(ns.system)
-    orbit, _ = _budgets(ns)
+    orbit = _budget(ns, ORBIT_DEFAULT)
     endo = autkit.endo_from_json(star.system, _read(ns.endo))
     f = autkit.factorize(star, endo, orbit)
     w = autkit.normality_witness(star, f, orbit)
@@ -236,6 +246,8 @@ def cmd_aut_witness(ns):
 
 
 def cmd_out(ns):
+    from . import units
+
     star = _load_star(ns.system)
     d = units.out_descriptor(star)
     facts = [
@@ -253,6 +265,8 @@ def cmd_out(ns):
 
 
 def cmd_split(ns):
+    from . import units
+
     star = _load_star(ns.system)
     d = units.split_inn_c(star)
     if d is None:
@@ -264,6 +278,8 @@ def cmd_split(ns):
 
 
 def cmd_commutator(ns):
+    from . import pathgroups
+
     sys = _load_system(ns.system)
     c = pathgroups.commutator_presentation(sys)
     facts = [
@@ -281,6 +297,8 @@ def cmd_commutator(ns):
 
 
 def cmd_rs_kernel(ns):
+    from . import pathgroups
+
     sys = _load_system(ns.system)
     try:
         data = json.loads(_read(ns.hom))
@@ -306,7 +324,9 @@ def cmd_rs_kernel(ns):
 
 
 def cmd_ln(ns):
-    orbit, _ = _budgets(ns)
+    from . import pathgroups
+
+    orbit = _budget(ns, ORBIT_DEFAULT)
     if ns.ln_command == "build":
         sys = pathgroups.build_ln(ns.n)
         facts = [("rank", sys.rank)]
@@ -335,6 +355,8 @@ def cmd_ln(ns):
 
 
 def cmd_twisted(ns):
+    from . import pathgroups
+
     cap = pathgroups.DEFAULT_GROUP_CAP
     if ns.family == "sym":
         elements, table = pathgroups.symmetric_group_table(ns.n)

@@ -23,9 +23,8 @@ by Burnside's lemma, one row-against-column comparison per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import eq, itemgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import INFINITY, CoxeterSystem, classify, path_system
 from .errors import (
@@ -43,7 +42,9 @@ from .errors import (
     UnsupportedShape,
 )
 from .words import DEFAULT_ORBIT_BUDGET, alternating, reduce_word
-from .autkit import Endomorphism, apply, make_endo, satisfies_relations
+
+if TYPE_CHECKING:  # autkit loads only when pl_witness runs
+    from .autkit import Endomorphism
 
 DEFAULT_IMAGE_CAP = 10**5
 # group tables are |G| x |G|, so this cap keeps one to 4 million cells
@@ -170,6 +171,8 @@ def symmetric_images(n: int) -> list[Permutation]:
 
 def pi_image(n: int, word: Sequence[int]) -> Permutation:
     """Image of a path word in S_n, leftmost letter applied first."""
+    if n < 2:
+        raise RankTooSmall("the family starts at two strands")
     # Swapping positions i, i+1 of a list composes on the right with the
     # transposition, so the swaps build the inverse of the image.
     inv = list(range(1, n + 1))
@@ -414,6 +417,8 @@ def free_rank(sys: CoxeterSystem, index: int) -> int:
     (rank - 2)).  Refuses loudly on an index below 1 and on a non-integer
     result, which signals a violated precondition.
     """
+    from fractions import Fraction
+
     if index < 1:
         raise BadIndex(f"index must be at least 1, got {index}")
     if not classify(sys).in_tw:
@@ -444,6 +449,8 @@ def pl_witness(n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> PureWitness:
     y_2 y_1 y_2 and fixes the rest.  The pure element (x_1 x_2)^2 then
     maps to a word with nontrivial symmetric-group image.
     """
+    from .autkit import apply, make_endo, satisfies_relations
+
     if n < 4:
         raise RankTooSmall("the pure subgroup is trivial below four strands")
     sys = build_ln(n)
@@ -483,7 +490,11 @@ def perm_group_table(gens: Sequence[Permutation], cap: int = DEFAULT_GROUP_CAP):
 
 
 def symmetric_group_table(n: int, cap: int = DEFAULT_GROUP_CAP):
-    return perm_group_table(symmetric_images(n), cap)
+    """S_n as generated by the adjacent transpositions; S_1 is trivial."""
+    if n < 1:
+        raise BadGroupTable(f"symmetric group degree must be at least 1, got {n}")
+    # S_1 has no transpositions: its identity generates it
+    return perm_group_table(symmetric_images(n) or [identity_perm(1)], cap)
 
 
 def cyclic_group_table(n: int):

@@ -152,6 +152,23 @@ def test_twisted_commands():
     assert run(["twisted", "cyc", "5000", "identity"]).exit_code == 2
 
 
+def test_ln_refuses_fewer_than_two_strands():
+    for argv in (["ln", "pi", "-2", ""], ["ln", "pure", "0", ""], ["ln", "pure", "0", "1"]):
+        res = run(argv)
+        assert res.exit_code == 1
+        assert res.lines == ["error: rank-too-small: the family starts at two strands"]
+
+
+def test_twisted_on_the_trivial_symmetric_group():
+    for aut in (["identity"], ["inversion"], ["conj", "()"]):
+        assert run(["twisted", "sym", "1", *aut]).lines == ["classes: 1"]
+    res = run(["twisted", "sym", "0", "identity"])
+    assert res.exit_code == 1
+    assert res.lines == [
+        "error: bad-group-table: symmetric group degree must be at least 1, got 0"
+    ]
+
+
 def test_budget_flag(files):
     res = run(["--budget", "1", "reduce", files["star3"], "2 1 2"])
     assert res.exit_code == 1

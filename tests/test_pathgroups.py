@@ -110,6 +110,14 @@ def test_pi_image_rejects_bad_letters():
         pi_image(4, (4,))
 
 
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_pi_image_and_is_pure_refuse_fewer_than_two_strands(n):
+    with pytest.raises(RankTooSmall, match="starts at two strands"):
+        pi_image(n, ())
+    with pytest.raises(RankTooSmall, match="starts at two strands"):
+        is_pure(n, (1,))
+
+
 def test_pi_is_homomorphism():
     rng = random.Random(41)
     sys = build_ln(5)
@@ -392,6 +400,19 @@ def test_twisted_rejects_loop_with_indivisible_burnside_sum():
 def test_cyclic_group_table_rejects_order_zero():
     with pytest.raises(BadGroupTable, match="at least 1, got 0"):
         cyclic_group_table(0)
+
+
+def test_symmetric_group_table_of_one_point_is_trivial():
+    elements, table = symmetric_group_table(1)
+    assert elements == [identity_perm(1)]
+    assert table == [[0]]
+    assert twisted_count(table, [0]) == 1
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_symmetric_group_table_rejects_degree_below_one(n):
+    with pytest.raises(BadGroupTable, match=f"at least 1, got {n}"):
+        symmetric_group_table(n)
 
 
 def test_default_group_cap_bounds_the_table():
