@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CoxeterSystem, StarForm, merge_generators
+from .core import CoxeterSystem, StarForm, _Record, merge_generators
 from .errors import (
     BadThetaExponent,
     BlockViolatingPermutation,
@@ -46,8 +45,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(_Record):
     """Generator-image list over a fixed ambient system."""
 
     system: CoxeterSystem
@@ -199,8 +197,7 @@ def compose(
     )
 
 
-@dataclass(frozen=True)
-class AutFactorization:
+class AutFactorization(_Record):
     """Inner word x, leaf permutation, and exponent vector of an automorphism.
 
     The factored map is inner(x^-1) o graph(perm) o exponent_product(cvec);
@@ -350,8 +347,7 @@ def is_inner(star: StarForm, f: AutFactorization) -> bool:
     return all_one or all_minus
 
 
-@dataclass(frozen=True)
-class NormalityWitness:
+class NormalityWitness(_Record):
     """Element g of the merge-quotient kernel whose image escapes it."""
 
     g: tuple

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
-from pathlib import Path
 
 # each handler imports the autkit, units, pathgroups or oracle it runs, so a
 # process loads only the modules of its own command
@@ -21,8 +19,7 @@ from .errors import OddCoxeterError, SystemFileError
 ORBIT_DEFAULT = words.DEFAULT_ORBIT_BUDGET
 
 
-@dataclass
-class CommandResult:
+class CommandResult(core._Record, frozen=False):
     exit_code: int
     lines: list
 
@@ -33,7 +30,8 @@ class _UsageError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise SystemFileError(f"cannot read {path}: {exc.strerror}") from exc
 
@@ -199,18 +197,15 @@ def cmd_aut_verify(ns):
 
 
 def cmd_aut_factorize(ns):
-    from . import autkit, pathgroups
+    from . import autkit
 
     star = _load_star(ns.system)
     orbit = _budget(ns, ORBIT_DEFAULT)
     endo = autkit.endo_from_json(star.system, _read(ns.endo))
     f = autkit.factorize(star, endo, orbit)
-    perm = pathgroups.Permutation(
-        tuple(list(range(1, 2)) + [f.perm_of(i) for i in star.leaves])
-    )
     return [
         ("inner", words.format_word(f.inner)),
-        ("perm", pathgroups.format_cycles(perm)),
+        ("perm", core.cycle_notation((1, *f.perm))),
         ("cvec", " ".join(str(k) for k in f.cvec)),
         ("is_inner", _bool(autkit.is_inner(star, f))),
     ]

@@ -13,13 +13,19 @@ rather than O(n^2).  Every pair that is not stored has exponent
 ``validate_system`` still accepts and checks a full matrix.
 
 Generators are 1-indexed everywhere.
+
+``_Record`` is the base of every value record in the package, in place of
+the standard library's dataclass decorator: importing that loads
+``inspect``, ``dis``, ``ast`` and ``tokenize``, and each decorated class
+compiles generated code, which together cost a fresh CLI process about
+13 ms plus about 1 ms per class.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import (
@@ -36,6 +42,87 @@ from .errors import (
 INFINITY = math.inf
 
 
+class _Record:
+    """Value record whose fields are the annotated names of its class body.
+
+    A subclass lists its fields as annotations, in order, and gives a field
+    a default with a class attribute; ``_fields`` records the names and
+    ``_values`` reads the field values (the bare value for one field).  An
+    instance is built by position or keyword, then ``__post_init__`` may
+    check it or store derived attributes, which are not fields, with
+    ``object.__setattr__``.  Records are equal when their classes are the
+    same and their ``_values`` are equal, hash as their ``_values`` and
+    print as ``Name(field=value, ...)``.  Assigning or deleting an
+    attribute raises ``AttributeError``; a class declared with
+    ``frozen=False`` is mutable and unhashable instead.  Instances keep a
+    ``__dict__``, so pickling, ``copy`` and ``vars`` work as for any object.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = property(attrgetter(*cls._fields))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # one setattr per field keeps the values inline in the instance, where
+        # attribute reads are fastest; writing through __dict__ would not
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in order, from arguments and class defaults."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(fields)} arguments "
+                f"but {len(args)} were given"
+            )
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif hasattr(cls, name):
+                values.append(getattr(cls, name))
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(
+                f"{cls.__qualname__}() got an unexpected keyword argument "
+                f"{next(iter(kwargs))!r}"
+            )
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _is_valid_exponent(m) -> bool:
     if m == INFINITY:
         return True
@@ -45,18 +132,17 @@ def _is_valid_exponent(m) -> bool:
 _NO_NEIGHBORS: dict = {}
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class CoxeterSystem(_Record):
     """Validated system: the rank plus the finite edges of its diagram.
 
     ``edges`` is the sorted tuple of (i, j, m) with i < j and m finite;
     edges given in any order or orientation are normalized to it, so two
-    systems are equal exactly when their exponent matrices are.
+    systems are equal exactly when their exponent matrices are.  The
+    neighbour map ``_rows`` is derived from the edges and is not a field.
     """
 
     rank: int
     edges: tuple = ()
-    _rows: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rank = self.rank
@@ -138,16 +224,14 @@ def validate_system(raw: Sequence[Sequence]) -> CoxeterSystem:
     return CoxeterSystem(n, edges)
 
 
-@dataclass(frozen=True)
-class DiagramV:
+class DiagramV(_Record):
     """Graph with one labeled edge per finite exponent."""
 
     vertices: tuple
     edges: tuple  # (i, j, m) with i < j, m finite
 
 
-@dataclass(frozen=True)
-class DiagramGamma:
+class DiagramGamma(_Record):
     """Graph with an edge for every pair; labels shown for exponents >= 4."""
 
     vertices: tuple
@@ -170,8 +254,7 @@ def diagram_gamma(sys: CoxeterSystem) -> DiagramGamma:
     return DiagramGamma(vertices=tuple(sys.generators), edges=tuple(edges))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     odd: bool
     connected: bool
     tree: bool
@@ -199,8 +282,7 @@ def classify(sys: CoxeterSystem) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class SystemInvariant:
+class SystemInvariant(_Record):
     """Rank together with the multiset of finite exponents (sorted)."""
 
     rank: int
@@ -219,8 +301,7 @@ def decide_isomorphic(a: CoxeterSystem, b: CoxeterSystem) -> bool:
     return invariants(a) == invariants(b)
 
 
-@dataclass(frozen=True)
-class StarForm:
+class StarForm(_Record):
     """Canonical star presentation: center 1, leaves 2..n, exponents ascending.
 
     ``t`` lists the leaf exponents in leaf order, ``blocks`` groups leaves
@@ -347,6 +428,29 @@ def merge_generators(star: StarForm, i: int, j: int):
     else:
         quotient = _star_system([t for t, _ in entries])
     return quotient, tuple(mapping)
+
+
+def cycle_notation(images: Sequence[int]) -> str:
+    """Disjoint cycles of i -> images[i - 1] on 1..n, as "(1 3 4)(2 5)".
+
+    Each cycle starts at its least point, cycles come in order of their
+    least points, fixed points are left out and the identity is "()".
+    """
+    seen = set()
+    out = []
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        cycle = [str(start)]
+        seen.add(start)
+        nxt = images[start - 1]
+        while nxt != start:
+            cycle.append(str(nxt))
+            seen.add(nxt)
+            nxt = images[nxt - 1]
+        if len(cycle) > 1:
+            out.append("(" + " ".join(cycle) + ")")
+    return "".join(out) or "()"
 
 
 # system file format: {"rank": n, "edges": [{"u":1,"v":2,"m":3}, ...]},

@@ -10,10 +10,9 @@ Failures are explicit errors, never silently truncated results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CoxeterSystem
+from .core import CoxeterSystem, _Record
 from .errors import (
     BadLetter,
     BadSearchRequest,
@@ -26,8 +25,7 @@ from .words import DEFAULT_ORBIT_BUDGET, _push, check_word, reduce_word
 DEFAULT_BALL_BUDGET = 10**5
 
 
-@dataclass(frozen=True)
-class CayleyBall:
+class CayleyBall(_Record):
     """All distinct elements of length <= radius, sorted ShortLex."""
 
     system: CoxeterSystem

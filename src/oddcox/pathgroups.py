@@ -22,11 +22,17 @@ by Burnside's lemma, one row-against-column comparison per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from .core import INFINITY, CoxeterSystem, classify, path_system
+from .core import (
+    INFINITY,
+    CoxeterSystem,
+    _Record,
+    classify,
+    cycle_notation,
+    path_system,
+)
 from .errors import (
     BadGroupTable,
     BadIndex,
@@ -51,8 +57,7 @@ DEFAULT_IMAGE_CAP = 10**5
 DEFAULT_GROUP_CAP = 2000
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """Bijection of {1..n}; images[i-1] is the image of i.
 
     Products apply the left factor first: (p * q)(x) = q(p(x)).
@@ -85,23 +90,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(self(i) == i for i in range(1, self.degree + 1))
 
-    def cycles(self) -> list:
-        seen = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
-
     def __str__(self) -> str:
         return format_cycles(self)
 
@@ -117,10 +105,7 @@ def transposition(n: int, i: int) -> Permutation:
 
 
 def format_cycles(perm: Permutation) -> str:
-    cycles = perm.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+    return cycle_notation(perm.images)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -193,16 +178,14 @@ def is_pure(n: int, word: Sequence[int]) -> bool:
     return pi_image(n, word).is_identity()
 
 
-@dataclass(frozen=True)
-class FinitePresentation:
+class FinitePresentation(_Record):
     """Generator count plus relators as words in signed generator indices."""
 
     num_generators: int
     relators: tuple
 
 
-@dataclass(frozen=True)
-class CommutatorStructure:
+class CommutatorStructure(_Record):
     """Presentation of the even-length (commutator) subgroup.
 
     Star form: generators a_i = w_1 w_i, relators a_i^{t_i}.
@@ -432,8 +415,7 @@ def free_rank(sys: CoxeterSystem, index: int) -> int:
     return int(rank)
 
 
-@dataclass(frozen=True)
-class PureWitness:
+class PureWitness(_Record):
     """Automorphism moving a pure element out of the pure subgroup."""
 
     endo: Endomorphism

@@ -11,10 +11,9 @@ C/-1 is read off them in closed form, with no matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import StarForm
+from .core import StarForm, _Record
 from .errors import CertificateFailed, EvenModulus
 
 
@@ -42,8 +41,7 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
+class UnitGroupStructure(_Record):
     """Unit group mod an odd m: one cyclic factor per odd prime power."""
 
     modulus: int
@@ -96,8 +94,7 @@ def c_order(star: StarForm) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ComplementD:
+class ComplementD(_Record):
     """Complement of the +-1 subgroup inside C, as generating cvecs."""
 
     generators: tuple
@@ -188,8 +185,7 @@ def c_mod_minus_one_invariants(star: StarForm) -> tuple:
     return tuple(sorted(n for n in invariants if n > 1))
 
 
-@dataclass(frozen=True)
-class OutDescriptor:
+class OutDescriptor(_Record):
     """Order and shape of the outer automorphism group of a star."""
 
     c_shape: tuple  # (exponent, multiplicity) pairs

@@ -208,8 +208,14 @@ def test_file_errors(tmp_path):
     res = run(["validate", str(bad)])
     assert res.exit_code == 1
     assert res.lines[0].startswith("error: bad-system-file")
-    res = run(["validate", str(tmp_path / "missing.json")])
+    missing = tmp_path / "missing.json"
+    res = run(["validate", str(missing)])
     assert res.exit_code == 1
+    assert res.lines == [
+        f"error: bad-system-file: cannot read {missing}: No such file or directory"
+    ]
+    res = run(["validate", str(tmp_path)])
+    assert res.lines == [f"error: bad-system-file: cannot read {tmp_path}: Is a directory"]
 
 
 def test_usage_errors(files):

@@ -88,11 +88,7 @@ COMMANDS = [
     (["reduce", "{star33}", "2 1 2"], "1 2 1", set()),
     (["out", "{star33}"], "out_order:", {"oddcox.units"}),
     (["twisted", "sym", "4", "identity"], "classes: 5", {"oddcox.pathgroups"}),
-    (
-        ["aut-factorize", "{star33}", "{swap}"],
-        "inner:",
-        {"oddcox.autkit", "oddcox.pathgroups"},
-    ),
+    (["aut-factorize", "{star33}", "{swap}"], "inner:", {"oddcox.autkit"}),
 ]
 
 
@@ -104,6 +100,16 @@ def test_cli_command_loads_only_its_modules(files, argv, stdout, extra):
     loaded = set(proc.stderr.split())
     assert {m for m in loaded if m.startswith("oddcox")} == BASE | extra
     assert "fractions" not in loaded
+
+
+def test_no_submodule_loads_dataclasses_or_inspect():
+    # -S keeps site hooks from loading modules before the package does
+    modules = ", ".join(f"oddcox.{name}" for name in (*SUBMODULES, "cli"))
+    proc = _python("-S", "-c", f"import sys, {modules}; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "oddcox.cli" in loaded and "oddcox.pathgroups" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()
 
 
 def test_old_exports_are_the_submodule_objects():
