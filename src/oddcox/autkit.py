@@ -109,15 +109,11 @@ def inner_auto(
     star: StarForm, x: Sequence[int], budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
     """Conjugation by x: every generator g maps to x g x^-1."""
-    sys = star.system
-    x = check_word(sys, x)
-    xinv = inverse_word(x)
-    return Endomorphism(
-        system=sys,
-        images=tuple(
-            reduce_word(sys, x + (g,) + xinv, budget) for g in sys.generators
-        ),
-    )
+    # check before reversing, so a bad letter is reported in the order given
+    xinv = inverse_word(check_word(star.system, x))
+    ones = (1,) * (star.rank - 1)
+    f = AutFactorization(inner=xinv, cvec=ones, perm=tuple(star.leaves))
+    return recompose(star, f, budget)
 
 
 def theta_auto(
@@ -154,10 +150,9 @@ def _normalize_perm(star: StarForm, perm) -> tuple:
 
 def graph_auto(star: StarForm, perm) -> Endomorphism:
     """Diagram symmetry: permutes leaves within equal-label blocks."""
-    images = _normalize_perm(star, perm)
-    sys = star.system
-    out = [(1,)] + [(images[i - 2],) for i in star.leaves]
-    return Endomorphism(system=sys, images=tuple(out))
+    ones = (1,) * (star.rank - 1)
+    f = AutFactorization(inner=(), cvec=ones, perm=_normalize_perm(star, perm))
+    return recompose(star, f)
 
 
 def theta_product(

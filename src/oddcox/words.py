@@ -3,23 +3,23 @@
 Words are tuples of 1-based generator indices; every generator is an
 involution, so the inverse of a word is its reversal.  The canonical form
 of an element is the ShortLex-least reduced word: shortest first, then
-lexicographically least.  ``_reduce`` computes it in four steps:
+lexicographically least.  ``_reduce`` computes it in three steps:
 
-1. Delete adjacent equal pairs.  If no alternating factor (a b a ...) of
-   m(a, b) letters remains, no braid move applies, so by Tits' solution
-   of the word problem the word is reduced and is the only reduced
-   spelling of its element: return it.
-2. One stack pass that also rewrites an alternating factor of m + 1
-   letters as the opposite factor of m - 1 letters,
-   (a b ...)_(m+1) = (b a ...)_(m-1).  Return early as in step 1.
-3. Read the word from the right through the small-root automaton of
+1. One stack pass reads each letter once.  It cancels an adjacent equal
+   pair and rewrites an alternating factor of m + 1 letters as the
+   opposite factor of m - 1 letters, (a b ...)_(m+1) = (b a ...)_(m-1),
+   re-reading the letters of the new factor.  If no alternating factor
+   (a b a ...) of m(a, b) letters is left, no braid move applies, so by
+   Tits' solution of the word problem the word is reduced and is the
+   only reduced spelling of its element: return it.
+2. Read the word from the right through the small-root automaton of
    Brink and Howlett (Math. Ann. 296, 1993).  After each letter the state
    is the set of small roots in the left inversion set of the suffix
    read, each tagged with the letter that introduced it.  A letter x
    whose simple root alpha_x is already in the state is a left descent;
    by the exchange condition it cancels against the tagged letter, both
    are deleted and the letters after the tag are read again.
-4. The ShortLex-least spelling starts with the least left descent s,
+3. The ShortLex-least spelling starts with the least left descent s,
    which is the least simple root in the final state.  Emit s, delete
    its tagged letter (leaving a reduced word for s w), re-read the
    letters after it and repeat.
@@ -38,7 +38,7 @@ or emission re-reads at most the whole word, so a reduction is at most
 quadratic in the word length.
 
 ``budget`` caps the rewrite steps of one reduction, counting the input
-as the first: each step-2 rewrite, each step-3 exchange and each step-4
+as the first: each step-1 rewrite, each step-2 exchange and each step-3
 emission whose letter is not already in front.  Exceeding it raises
 ``OrbitBudgetExceeded`` rather than returning a wrong answer.  Nothing
 is memoized: every call reduces its word afresh and keeps no state.
@@ -89,35 +89,6 @@ def alternating(a: int, b: int, length: int) -> Word:
     return tuple(a if k % 2 == 0 else b for k in range(length))
 
 
-def _strip_pairs(word: Word) -> Word:
-    """Free reduction in one pass; it is confluent, so the result is unique."""
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def _has_braid_site(sys: CoxeterSystem, word: Word) -> bool:
-    """Whether some alternating factor (a b a ...) has m(a, b) letters.
-
-    ``word`` has no adjacent equal pair, so each letter either extends the
-    alternating run ending before it or starts a run of two.
-    """
-    neighbors = sys.neighbors
-    prev = prev2 = 0
-    run = 1
-    for x in word:
-        run = run + 1 if x == prev2 else 2
-        # every finite exponent is at least 3
-        if run >= 3 and run >= neighbors(x).get(prev, run + 1):
-            return True
-        prev2, prev = prev, x
-    return False
-
-
 class _Steps:
     """Rewrite steps of one reduction, the input counting as the first."""
 
@@ -135,46 +106,56 @@ class _Steps:
             )
 
 
-def _shorten_runs(sys: CoxeterSystem, word: Word, steps: _Steps) -> tuple[list, bool]:
-    """One stack pass: cancel equal pairs, rewrite (a b ...) of m + 1 letters
-    as (b a ...) of m - 1 letters.
+def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
+    """Read each letter once onto a stack: cancel an adjacent equal pair,
+    rewrite (a b ...) of m + 1 letters as (b a ...) of m - 1 letters.
 
-    Returns the letters and whether an alternating run of m letters may
-    remain (False only when none does).
+    Returns the letters and, unless no alternating run of m letters
+    remains, the rewrite steps taken so far.
     """
     neighbors = sys.neighbors
-    out: list[int] = []
-    runs: list[int] = []  # runs[i]: the alternating run ending at out[i]
-    pending = list(reversed(word))  # the next letter is last
+    # two sentinel letters: 0 equals no letter and has no finite exponent
+    out = [0, 0]
+    runs = [0, 0]  # runs[i]: the alternating run ending at out[i]
+    y = z = run = 0  # out[-1], out[-2] and runs[-1]
+    pending: list[int] = []  # letters to re-read after a rewrite, the next last
+    steps = None
     braidable = False
-    while pending:
-        x = pending.pop()
-        if not out:
-            out.append(x)
-            runs.append(1)
-            continue
-        y = out[-1]
-        if y == x:
-            out.pop()
-            runs.pop()
-            continue
-        run = runs[-1] + 1 if len(out) >= 2 and out[-2] == x else 2
-        if run >= 3:
-            m = neighbors(x).get(y)
-            if m is not None and run >= m:
+    for x in word:
+        while True:
+            if x == y:
+                out.pop()
+                runs.pop()
+                y, z, run = out[-1], out[-2], runs[-1]
+            elif x != z:
+                out.append(x)
+                runs.append(2)
+                z, y, run = y, x, 2
+            else:
+                run += 1
+                m = neighbors(x).get(y, run + 1)  # a missing pair has m = infinity
                 if run > m:
                     # (a b ...)_(m+1) = (b a ...)_(m-1): drop the run's first
                     # letter and x, and re-read the rest after the new neighbour
+                    if steps is None:
+                        steps = _Steps(budget)
                     steps.take()
-                    rest = out[-m + 1 :]
+                    pending.extend(out[: -m : -1])
                     del out[-m:]
                     del runs[-m:]
-                    pending.extend(reversed(rest))
-                    continue
-                braidable = True
-        out.append(x)
-        runs.append(run)
-    return out, braidable
+                    y, z, run = out[-1], out[-2], runs[-1]
+                else:
+                    braidable = braidable or run == m
+                    out.append(x)
+                    runs.append(run)
+                    z, y = y, x
+            if not pending:
+                break
+            x = pending.pop()
+    del out[:2]
+    if not braidable:
+        return out, None
+    return out, steps or _Steps(budget)
 
 
 def _read(sys: CoxeterSystem, letters: list, states: list, pending: list, steps: _Steps):
@@ -243,18 +224,15 @@ def _descents(sys: CoxeterSystem, canon: Word) -> set:
 
 
 def _reduce(sys: CoxeterSystem, word: Word, budget: int) -> Word:
-    current = _strip_pairs(word)
-    if not _has_braid_site(sys, current):
-        return current
-    steps = _Steps(budget)
-    letters, braidable = _shorten_runs(sys, current, steps)
-    if not braidable:
+    # step 1: no steps come back when no run of m letters is left
+    letters, steps = _stack_pass(sys, word, budget)
+    if steps is None:
         return tuple(letters)
-    # step 3: the reduced word, rightmost letter first, with its states
+    # step 2: the reduced word, rightmost letter first, with its states
     reduced: list[int] = []
     states: list[dict] = [{}]
     _read(sys, reduced, states, letters, steps)
-    # step 4: peel off the least left descent until nothing is left
+    # step 3: peel off the least left descent until nothing is left
     out = []
     while reduced:
         state = states[-1]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oddcox import (
+    CoxeterSystem,
     alternating,
     conjugate,
     dihedral_log,
@@ -27,7 +28,7 @@ from oddcox.errors import (
     NotInvolution,
     OrbitBudgetExceeded,
 )
-from oddcox.words import _strip_pairs, check_word
+from oddcox.words import check_word
 from conftest import star
 
 
@@ -110,11 +111,13 @@ def _strip_pairs_by_deletion(word):
     return tuple(w)
 
 
-def test_strip_pairs_matches_deletion_reference():
+def test_free_reduction_matches_deletion_reference():
+    # every exponent infinite: reduction is exactly free reduction
+    sys = CoxeterSystem(3, [])
     rng = random.Random(5)
     for _ in range(500):
         w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 14)))
-        assert _strip_pairs(w) == _strip_pairs_by_deletion(w)
+        assert reduce_word(sys, w) == _strip_pairs_by_deletion(w)
 
 
 def test_reduce_budget_cap():
