@@ -5,8 +5,8 @@ the Brink-Howlett small-root automaton), the rank-and-multiset
 isomorphism test, construction and factorization of automorphisms of
 star presentations, splitting analysis of the automorphism extensions
 via unit groups mod m, commutator and pure-subgroup presentations,
-twisted-conjugacy counts by Burnside's lemma, and brute-force oracles
-(Cayley balls, dihedral tables, bounded searches) that cross-check the
+twisted-conjugacy counts by Burnside's lemma, and brute-force
+searches (Cayley balls, bounded searches) that cross-check the
 structural results at desk scale.
 
 Submodules load on first use (PEP 562): ``import oddcox`` loads none of
@@ -54,7 +54,7 @@ _EXPORTS = {
         "support",
         "word_length",
     ),
-    "oracle": ("CayleyBall", "ball_search", "cayley_ball", "dihedral_model"),
+    "oracle": ("CayleyBall", "ball_search", "cayley_ball"),
     "autkit": (
         "AutFactorization",
         "Endomorphism",

@@ -90,13 +90,7 @@ def satisfies_relations(
     sys: CoxeterSystem, e: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> bool:
     """Do the images satisfy every defining relation of the system?"""
-    for i in sys.generators:
-        if apply(sys, e, (i, i), budget) != ():
-            return False
-    for i, j, m in sys.finite_pairs():
-        if apply(sys, e, alternating(i, j, 2 * m), budget) != ():
-            return False
-    return True
+    return all(apply(sys, e, r, budget) == () for r in sys.relators())
 
 
 def verify_endo(
@@ -151,8 +145,7 @@ def _normalize_perm(star: StarForm, perm) -> tuple:
 def graph_auto(star: StarForm, perm) -> Endomorphism:
     """Diagram symmetry: permutes leaves within equal-label blocks."""
     ones = (1,) * (star.rank - 1)
-    f = AutFactorization(inner=(), cvec=ones, perm=_normalize_perm(star, perm))
-    return recompose(star, f)
+    return recompose(star, AutFactorization(inner=(), cvec=ones, perm=perm))
 
 
 def theta_product(
@@ -212,24 +205,29 @@ class AutFactorization(_Record):
 
 def _core(f: AutFactorization, g: int) -> Word:
     """Image of generator g under graph(perm) o exponent_product(cvec):
-    the center is fixed and leaf g goes to w_1 (w_1 w_perm(g))^k."""
+    the center is fixed and leaf g goes to w_1 (w_1 w_j)^k with j = perm(g),
+    spelled without its leading pair (1 1) as (j 1 j ... j), 2k - 1 letters."""
     if g == 1:
         return (1,)
-    return (1,) + alternating(1, f.perm_of(g), 2) * f.cvec[g - 2]
+    return alternating(f.perm_of(g), 1, 2 * f.cvec[g - 2] - 1)
 
 
-def _checked_inner(star: StarForm, f: AutFactorization) -> Word:
-    """The inner word of f, once its permutation and exponents are validated."""
-    _normalize_perm(star, f.perm)
-    _check_cvec(star, f.cvec)
-    return check_word(star.system, f.inner)
+def _checked(star: StarForm, f: AutFactorization) -> AutFactorization:
+    """f with its permutation as an image tuple, once the permutation, the
+    exponents and the inner word are validated, in that order."""
+    perm = _normalize_perm(star, f.perm)
+    cvec = _check_cvec(star, f.cvec)
+    return AutFactorization(
+        inner=check_word(star.system, f.inner), cvec=cvec, perm=perm
+    )
 
 
 def recompose(
     star: StarForm, f: AutFactorization, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
     sys = star.system
-    x = _checked_inner(star, f)
+    f = _checked(star, f)
+    x = f.inner
     xinv = inverse_word(x)
     return Endomorphism(
         system=sys,
@@ -252,16 +250,15 @@ def invert_factorization(
     c'_g = cvec_(perm^-1(g))^-1 mod t_g; the inner word is the reversal
     of psi^-1(x).
     """
-    sys = star.system
-    x = check_word(sys, f.inner)
-    back = {j: i for i, j in zip(star.leaves, _normalize_perm(star, f.perm))}
-    cvec = _check_cvec(star, f.cvec)
+    f = _checked(star, f)
+    back = {j: i for i, j in zip(star.leaves, f.perm)}
     psi = AutFactorization(
         inner=(),
-        cvec=tuple(pow(cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
+        cvec=tuple(pow(f.cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
         perm=tuple(back[g] for g in star.leaves),
     )
-    image = reduce_word(sys, tuple(a for g in x for a in _core(psi, g)), budget)
+    word = tuple(a for g in f.inner for a in _core(psi, g))
+    image = reduce_word(star.system, word, budget)
     return AutFactorization(inner=inverse_word(image), cvec=psi.cvec, perm=psi.perm)
 
 
@@ -365,16 +362,17 @@ def normality_witness(
     When neither case applies no merge quotient can tell the automorphism
     from a normal one and the search fails explicitly.
     """
-    x = _checked_inner(star, f)
+    f = _checked(star, f)
     if is_inner(star, f):
         raise IsInnerNoWitness("inner automorphisms preserve every normal subgroup")
-    sys = star.system
+    x = f.inner
     xinv = inverse_word(x)
 
     def certified(g, pair):
         quotient, mapping = merge_generators(star, *pair)
-        # the image of g = g1 g2 under inner(x^-1) o psi
-        image = reduce_word(sys, xinv + _core(f, g[0]) + _core(f, g[1]) + x, budget)
+        # the image of g = g1 g2 under inner(x^-1) o psi, pushed letter by
+        # letter into the quotient: the merge map is a homomorphism
+        image = xinv + _core(f, g[0]) + _core(f, g[1]) + x
         pushed = tuple(mapping[letter - 1] for letter in image)
         evidence = reduce_word(quotient, pushed, budget)
         if evidence == ():

@@ -194,6 +194,13 @@ class CoxeterSystem(_Record):
         """All (i, j, m) with i < j and m finite, sorted."""
         return list(self.edges)
 
+    def relators(self) -> list[tuple[int, ...]]:
+        """The defining relators: (i i) for each generator, then (i j)^m
+        for each finite edge, in edge order."""
+        return [(i, i) for i in self.generators] + [
+            (i, j) * m for i, j, m in self.edges
+        ]
+
 
 def validate_system(raw: Sequence[Sequence]) -> CoxeterSystem:
     """Check a raw matrix and wrap it.  Never normalizes silently."""

@@ -47,7 +47,7 @@ from .errors import (
     RankTooSmall,
     UnsupportedShape,
 )
-from .words import DEFAULT_ORBIT_BUDGET, alternating, reduce_word
+from .words import DEFAULT_ORBIT_BUDGET, reduce_word
 
 if TYPE_CHECKING:  # autkit loads only when pl_witness runs
     from .autkit import Endomorphism
@@ -329,10 +329,13 @@ def rs_kernel(
 ) -> FinitePresentation:
     """Presentation of the kernel of the map sending generators to ``images``.
 
-    The images must satisfy the defining relations.  Cosets of the kernel
-    are the elements of the image group; the Schreier transversal is the
-    ShortLex-first spelling of each element.  Relators are the rewrites of
-    every defining relator over every coset.
+    Cosets of the kernel are the elements of the image group; the Schreier
+    transversal is the ShortLex-first spelling of each element.  Relators
+    are the rewrites of every defining relator over every coset.  The
+    images define a homomorphism exactly when every relator walked from a
+    coset returns to it; the walks start at the identity coset, so the
+    first relator that fails is refused with ``NotAHomomorphism`` while it
+    is rewritten, after the search of the image group.
     """
     n = sys.rank
     if len(images) != n:
@@ -341,19 +344,6 @@ def rs_kernel(
     for img in images:
         if img.degree != degree:
             raise NotAHomomorphism("images act on different degrees")
-    ident = identity_perm(degree)
-    for i, img in enumerate(images, start=1):
-        if not (img * img).is_identity():
-            raise NotAHomomorphism(f"image of generator {i} is not an involution")
-    for i, j, m in sys.finite_pairs():
-        prod = images[i - 1] * images[j - 1]
-        power = ident
-        for _ in range(m):
-            power = power * prod
-        if not power.is_identity():
-            raise NotAHomomorphism(
-                f"images of generators {i}, {j} do not satisfy the exponent {m}"
-            )
 
     # BFS over the image group: ShortLex transversal and full coset table
     _, table, tree = _cayley_bfs(
@@ -382,12 +372,17 @@ def rs_kernel(
             if sym:
                 out.append(sym)
             cur = table[cur][letter - 1]
+        if cur != state:
+            i, j = relator[:2]
+            if i == j:
+                raise NotAHomomorphism(f"image of generator {i} is not an involution")
+            raise NotAHomomorphism(
+                f"images of generators {i}, {j} do not satisfy the exponent "
+                f"{len(relator) // 2}"
+            )
         return out
 
-    defining = [(i, i) for i in sys.generators]
-    defining += [
-        alternating(i, j, 2 * m) for i, j, m in sys.finite_pairs()
-    ]
+    defining = sys.relators()
     relators = [rewrite(s, rel) for s in range(len(table)) for rel in defining]
     return _simplify_limited(count, relators)
 

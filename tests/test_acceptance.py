@@ -15,7 +15,6 @@ from oddcox import (
     compose,
     conjugate,
     decide_isomorphic,
-    dihedral_model,
     equal,
     factorize,
     free_rank,
@@ -47,6 +46,7 @@ from oddcox.pathgroups import (
     symmetric_images,
 )
 from conftest import star
+from dihedral_oracle import dihedral_model
 from helpers import random_tree_system, relabel
 from test_units import brute_splits
 from tietze_oracle import certified_free_rank

@@ -27,7 +27,7 @@ OLD_EXPORTS = {
         "involution_to_base left_descents multiply parse_word reduce_word "
         "support word_length"
     ),
-    "oracle": "CayleyBall ball_search cayley_ball dihedral_model",
+    "oracle": "CayleyBall ball_search cayley_ball",
     "autkit": (
         "AutFactorization Endomorphism apply compose endo_from_json endo_to_json "
         "factorize graph_auto identity_endo inner_auto invert_factorization "

@@ -15,9 +15,10 @@ import random
 
 import pytest
 
-from oddcox import alternating, dihedral_model, reduce_word
+from oddcox import alternating, reduce_word
 from braid_oracle import braid_reduce
 from conftest import star
+from dihedral_oracle import dihedral_model
 
 STAR = star(3, 5, 7, 9)  # center 1; leaves 2, 3, 4, 5 with labels 3, 5, 7, 9
 ORACLE_LETTERS = 16

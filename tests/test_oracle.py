@@ -4,7 +4,6 @@ from oddcox import (
     ball_search,
     cayley_ball,
     conjugate,
-    dihedral_model,
     inverse_word,
     validate_system,
 )
@@ -16,6 +15,7 @@ from oddcox.errors import (
     NegativeRadius,
 )
 from conftest import star
+from dihedral_oracle import dihedral_model
 
 
 def test_ball_examples():

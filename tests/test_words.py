@@ -8,7 +8,6 @@ from oddcox import (
     alternating,
     conjugate,
     dihedral_log,
-    dihedral_model,
     cayley_ball,
     equal,
     format_word,
@@ -30,6 +29,7 @@ from oddcox.errors import (
 )
 from oddcox.words import check_word
 from conftest import star
+from dihedral_oracle import dihedral_model
 
 
 def rank2(m):
