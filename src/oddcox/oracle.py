@@ -35,10 +35,10 @@ def cayley_ball(
     """Layer by layer enumeration of canonical words.
 
     The canonical form of an element v is s c(s v), where s is the least
-    left descent of v (step 4 of the word engine), so the canonical words
-    of length r are exactly the words (s,) + u with u canonical of length
-    r - 1, s not a left descent of u and s the least simple root in the
-    small-root state of s u.  Each element is built once, from the tail
+    left descent of v (the word engine emits it first), so the canonical
+    words of length r are exactly the words (s,) + u with u canonical of
+    length r - 1, s not a left descent of u and s the least simple root in
+    the small-root state of s u.  Each element is built once, from the tail
     of its canonical form, with one automaton step and no reduction.
     Taking s in increasing order over a sorted layer keeps each layer
     sorted.

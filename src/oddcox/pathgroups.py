@@ -294,7 +294,7 @@ def _cayley_bfs(gens: Sequence[Permutation], cap: int, too_large):
     """Breadth-first search of the Cayley graph of <gens> from the identity.
 
     Returns (elements, right, tree): ``elements`` lists the group in BFS
-    order as Permutations, ``right[e][k]`` is the position of
+    order as image tuples, ``right[e][k]`` is the position of
     elements[e] * gens[k], and ``tree[e]`` is the (parent, k) edge that
     first reached e (None for the identity).  Calls ``too_large()`` for
     the exception to raise when a new element would exceed ``cap``.  All
@@ -319,7 +319,7 @@ def _cayley_bfs(gens: Sequence[Permutation], cap: int, too_large):
                 tree.append((state, k))
             row.append(pos)
         right.append(row)
-    return [Permutation(key) for key in keys], right, tree
+    return keys, right, tree
 
 
 def rs_kernel(
@@ -463,7 +463,7 @@ def perm_group_table(gens: Sequence[Permutation], cap: int = DEFAULT_GROUP_CAP):
         for parent, k in steps:
             row.append(right[row[parent]][k])
         table.append(row)
-    return elements, table
+    return [Permutation(images) for images in elements], table
 
 
 def symmetric_group_table(n: int, cap: int = DEFAULT_GROUP_CAP):
@@ -475,9 +475,11 @@ def symmetric_group_table(n: int, cap: int = DEFAULT_GROUP_CAP):
 
 
 def cyclic_group_table(n: int):
-    """Z/n as a table: element i is the residue i."""
+    """Z/n as a table: element i is the residue i; n is at most the cap."""
     if n < 1:
         raise BadGroupTable(f"cyclic group order must be at least 1, got {n}")
+    if n > DEFAULT_GROUP_CAP:
+        raise GroupTooLarge(f"group of order {n} exceeds cap {DEFAULT_GROUP_CAP}")
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
 

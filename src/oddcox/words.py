@@ -3,7 +3,7 @@
 Words are tuples of 1-based generator indices; every generator is an
 involution, so the inverse of a word is its reversal.  The canonical form
 of an element is the ShortLex-least reduced word: shortest first, then
-lexicographically least.  ``_reduce`` computes it in three steps:
+lexicographically least.  ``_reduce`` computes it in two steps:
 
 1. One stack pass reads each letter once.  It cancels an adjacent equal
    pair and rewrites an alternating factor of m + 1 letters as the
@@ -12,17 +12,17 @@ lexicographically least.  ``_reduce`` computes it in three steps:
    (a b a ...) of m(a, b) letters is left, no braid move applies, so by
    Tits' solution of the word problem the word is reduced and is the
    only reduced spelling of its element: return it.
-2. Read the word from the right through the small-root automaton of
-   Brink and Howlett (Math. Ann. 296, 1993).  After each letter the state
-   is the set of small roots in the left inversion set of the suffix
-   read, each tagged with the letter that introduced it.  A letter x
-   whose simple root alpha_x is already in the state is a left descent;
-   by the exchange condition it cancels against the tagged letter, both
-   are deleted and the letters after the tag are read again.
-3. The ShortLex-least spelling starts with the least left descent s,
-   which is the least simple root in the final state.  Emit s, delete
-   its tagged letter (leaving a reduced word for s w), re-read the
-   letters after it and repeat.
+2. One loop reads the word from the right through the small-root
+   automaton of Brink and Howlett (Math. Ann. 296, 1993).  After each
+   letter the state is the set of small roots in the left inversion set
+   of the suffix read, each tagged with the letter that introduced it.
+   A letter x whose simple root alpha_x is already in the state is a
+   left descent; by the exchange condition it cancels against the tagged
+   letter, both are deleted and the letters after the tag are read
+   again.  With no letter left to read, the least simple root s in the
+   state is the least left descent, which starts the ShortLex-least
+   spelling: emit s, delete its tagged letter (leaving a reduced word for
+   s w) and read the letters after it again, until nothing is left.
 
 Every exponent is odd, so at least 3, and the small roots are exactly the
 simple roots and the positive roots of the finite rank-2 parabolics
@@ -38,13 +38,18 @@ or emission re-reads at most the whole word, so a reduction is at most
 quadratic in the word length.
 
 ``budget`` caps the rewrite steps of one reduction, counting the input
-as the first: each step-1 rewrite, each step-2 exchange and each step-3
-emission whose letter is not already in front.  Exceeding it raises
+as the first: each step-1 rewrite, each exchange and each emission whose
+letter is not already in front.  Exceeding it raises
 ``OrbitBudgetExceeded`` rather than returning a wrong answer.  Nothing
 is memoized: every call reduces its word afresh and keeps no state.
 
 Conjugation is fixed as ``conjugate(v, x) = x v x^-1`` throughout the
 package; the inner map induced by ``x`` sends g to x g x^-1.
+
+If s is a left descent of a reflection t other than s, then
+length(s t s) = length(t) - 2, and in an odd tree group every involution
+is a reflection (a finite subgroup lies in a conjugate of a generator or
+of an odd dihedral edge); ``involution_to_base`` rests on both facts.
 """
 
 from __future__ import annotations
@@ -89,29 +94,13 @@ def alternating(a: int, b: int, length: int) -> Word:
     return tuple(a if k % 2 == 0 else b for k in range(length))
 
 
-class _Steps:
-    """Rewrite steps of one reduction, the input counting as the first."""
-
-    __slots__ = ("count", "budget")
-
-    def __init__(self, budget: int):
-        self.count = 1
-        self.budget = budget
-
-    def take(self):
-        self.count += 1
-        if self.count > self.budget:
-            raise OrbitBudgetExceeded(
-                f"word engine exceeded {self.budget} rewrite steps"
-            )
-
-
 def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
     """Read each letter once onto a stack: cancel an adjacent equal pair,
     rewrite (a b ...) of m + 1 letters as (b a ...) of m - 1 letters.
 
-    Returns the letters and, unless no alternating run of m letters
-    remains, the rewrite steps taken so far.
+    Returns the letters and the rewrite steps taken so far, the input
+    counting as the first, or 0 steps when no alternating run of m
+    letters remains.
     """
     neighbors = sys.neighbors
     # two sentinel letters: 0 equals no letter and has no finite exponent
@@ -119,7 +108,7 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
     runs = [0, 0]  # runs[i]: the alternating run ending at out[i]
     y = z = run = 0  # out[-1], out[-2] and runs[-1]
     pending: list[int] = []  # letters to re-read after a rewrite, the next last
-    steps = None
+    steps = 1
     braidable = False
     for x in word:
         while True:
@@ -137,9 +126,11 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
                 if run > m:
                     # (a b ...)_(m+1) = (b a ...)_(m-1): drop the run's first
                     # letter and x, and re-read the rest after the new neighbour
-                    if steps is None:
-                        steps = _Steps(budget)
-                    steps.take()
+                    steps += 1
+                    if steps > budget:
+                        raise OrbitBudgetExceeded(
+                            f"word engine exceeded {budget} rewrite steps"
+                        )
                     pending.extend(out[: -m : -1])
                     del out[-m:]
                     del runs[-m:]
@@ -153,46 +144,21 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
                 break
             x = pending.pop()
     del out[:2]
-    if not braidable:
-        return out, None
-    return out, steps or _Steps(budget)
-
-
-def _read(sys: CoxeterSystem, letters: list, states: list, pending: list, steps: _Steps):
-    """Read ``pending`` (the next letter last) through the small-root automaton.
-
-    ``letters`` is the reduced word read so far, rightmost letter first,
-    and ``states[k]`` is the small-root state after ``letters[:k]``: a
-    dict from each small root in the left inversion set to the index of
-    the letter that introduced it.  A simple root alpha_y is the key y; the
-    root rho_k (0 < k < m - 1) of the pair a < b is the key (a, b, k),
-    where rho_0 = alpha_a, rho_(m-1) = alpha_b, s_a sends rho_k to
-    rho_(m-k) and s_b sends rho_k to rho_(m-2-k).  When the next letter x
-    is already a left descent, the exchange condition deletes x and the
-    letter that introduced alpha_x, and the letters after it are re-read.
-    """
-    neighbors = sys.neighbors
-    while pending:
-        x = pending.pop()
-        state = states[-1]
-        tag = state.get(x)
-        if tag is not None:
-            steps.take()
-            pending.extend(reversed(letters[tag + 1 :]))
-            del letters[tag:]
-            del states[tag + 1 :]
-            continue
-        states.append(_push(neighbors(x), state, x, len(letters)))
-        letters.append(x)
+    return out, steps if braidable else 0
 
 
 def _push(row: dict, state: dict, x: int, index: int) -> dict:
     """The state after the letter x, which must not be a left descent.
 
-    ``row`` is ``sys.neighbors(x)``, ``state`` the small-root state of the
-    word read so far (keys as in ``_read``) and ``index`` the tag of the
-    new simple root alpha_x.  Every root s_x beta for beta in ``state``
-    keeps the tag of beta; one that is not small is dropped.
+    ``row`` is ``sys.neighbors(x)`` and ``state`` the small-root state of
+    the word read so far: a dict from each small root in its left
+    inversion set to the index of the letter that introduced it.  A
+    simple root alpha_y is the key y; the root rho_k (0 < k < m - 1) of
+    the pair a < b is the key (a, b, k), where rho_0 = alpha_a,
+    rho_(m-1) = alpha_b, s_a sends rho_k to rho_(m-k) and s_b sends rho_k
+    to rho_(m-2-k).  ``index`` is the tag of the new simple root alpha_x.
+    Every root s_x beta for beta in ``state`` keeps the tag of beta; one
+    that is not small is dropped.
     """
     new = {x: index}
     for key, tag in state.items():
@@ -224,27 +190,40 @@ def _descents(sys: CoxeterSystem, canon: Word) -> set:
 
 
 def _reduce(sys: CoxeterSystem, word: Word, budget: int) -> Word:
-    # step 1: no steps come back when no run of m letters is left
-    letters, steps = _stack_pass(sys, word, budget)
-    if steps is None:
-        return tuple(letters)
-    # step 2: the reduced word, rightmost letter first, with its states
+    pending, steps = _stack_pass(sys, word, budget)
+    if not steps:  # no run of m letters is left: the word is canonical
+        return tuple(pending)
+    neighbors = sys.neighbors
+    # the reduced word read so far, rightmost letter first; states[k] is
+    # the small-root state after reduced[:k]
     reduced: list[int] = []
     states: list[dict] = [{}]
-    _read(sys, reduced, states, letters, steps)
-    # step 3: peel off the least left descent until nothing is left
     out = []
-    while reduced:
+    while pending or reduced:
         state = states[-1]
-        s = min(key for key in state if type(key) is int)
-        tag = state[s]
-        out.append(s)
-        if tag != len(reduced) - 1:
-            steps.take()
-        pending = reduced[: tag : -1]
+        if pending:
+            x = pending.pop()
+            tag = state.get(x)
+            if tag is None:
+                states.append(_push(neighbors(x), state, x, len(reduced)))
+                reduced.append(x)
+                continue
+            # x is a left descent: it cancels against the letter at tag
+        else:
+            # emit the least left descent and delete the letter at its tag
+            x = min(key for key in state if type(key) is int)
+            out.append(x)
+            tag = state[x]
+            if tag == len(reduced) - 1:  # x is in front already
+                reduced.pop()
+                states.pop()
+                continue
+        steps += 1
+        if steps > budget:
+            raise OrbitBudgetExceeded(f"word engine exceeded {budget} rewrite steps")
+        pending.extend(reduced[:tag:-1])
         del reduced[tag:]
         del states[tag + 1 :]
-        _read(sys, reduced, states, pending, steps)
     return tuple(out)
 
 
@@ -286,7 +265,7 @@ def conjugate(
     budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> Word:
     """Canonical form of x v x^-1."""
-    x = check_word(sys, x)
+    x = tuple(x)
     return reduce_word(sys, x + tuple(v) + inverse_word(x), budget)
 
 
@@ -313,9 +292,15 @@ def involution_to_base(
 ) -> Word:
     """Conjugator x with x v x^-1 equal to the center generator.
 
-    Works by length descent: while the involution is longer than one
-    letter, some generator s satisfies length(s v s) = length(v) - 2;
-    conjugating by s and repeating reaches a single generator.  A leaf
+    Works by length descent.  Every involution v is a reflection s_beta:
+    a finite subgroup lies in a conjugate of a finite standard parabolic,
+    here a generator or an odd dihedral edge, whose involutions are all
+    reflections.  While v is longer than one letter, its first letter s
+    is its least left descent, and v(alpha_s) < 0 forces
+    B(alpha_s, beta) > 0, so (s v)(alpha_s) = -alpha_s -
+    2 B(alpha_s, beta) s(beta) < 0 and length(s v s) = length(v) - 2;
+    a length that does not drop by 2 raises ``NoDescentStep``.
+    Conjugating by s and repeating reaches a single generator.  A leaf
     generator is finally moved to the center by the dihedral shift
     c = (w_leaf w_1)^((t - 1)/2), which conjugates the leaf to the center
     inside their finite dihedral subgroup.
@@ -328,17 +313,14 @@ def involution_to_base(
         raise NotInvolution("word does not square to the identity")
     acc: list[int] = []
     while len(cur) > 1:
-        # s v s is shorter by 2 only if s is a left descent of v
-        for s in sorted(_descents(sys, cur)):
-            cand = reduce_word(sys, (s,) + cur + (s,), budget)
-            if len(cand) == len(cur) - 2:
-                acc.insert(0, s)
-                cur = cand
-                break
-        else:
+        s = cur[0]
+        cand = reduce_word(sys, (s,) + cur + (s,), budget)
+        if len(cand) != len(cur) - 2:
             raise NoDescentStep(
                 "no generator shortens the involution; input is inconsistent"
             )
+        acc.insert(0, s)
+        cur = cand
     j = cur[0]
     if j != 1:
         t = star.t_of(j)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -400,6 +401,18 @@ def test_twisted_rejects_loop_with_indivisible_burnside_sum():
 def test_cyclic_group_table_rejects_order_zero():
     with pytest.raises(BadGroupTable, match="at least 1, got 0"):
         cyclic_group_table(0)
+
+
+def test_cyclic_group_table_refuses_order_above_cap_before_allocating():
+    n = DEFAULT_GROUP_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTooLarge, match=f"order {n} exceeds cap"):
+            cyclic_group_table(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # the n x n table would take over 100 MB
 
 
 def test_symmetric_group_table_of_one_point_is_trivial():

@@ -27,6 +27,7 @@ from oddcox.errors import (
     NotInvolution,
     OrbitBudgetExceeded,
 )
+from oddcox.core import path_system
 from oddcox.words import check_word
 from conftest import star
 from dihedral_oracle import dihedral_model
@@ -123,6 +124,65 @@ def test_free_reduction_matches_deletion_reference():
 def test_reduce_budget_cap():
     with pytest.raises(OrbitBudgetExceeded):
         reduce_word(star(3).system, (2, 1, 2), budget=1)
+
+
+def _mixed_word(rng, sys, pieces):
+    """Seeded pieces: a letter, an alternating run of m - 1, m or m + 1
+    letters, or two runs of m letters through a common neighbour b,
+    (a b a ...)(c b c ...), which cancel only by the exchange condition.
+    Only ``rng.random()`` is used: its sequence is fixed across versions."""
+
+    def pick(seq):
+        return seq[int(rng.random() * len(seq))]
+
+    hubs = [b for b in sys.generators if len(sys.neighbors(b)) > 1]
+    word = []
+    for _ in range(pieces):
+        r = rng.random()
+        if r < 0.25:
+            word.append(1 + int(rng.random() * sys.rank))
+        elif r < 0.5:
+            a, b, m = pick(sys.finite_pairs())
+            if rng.random() < 0.5:
+                a, b = b, a
+            word += alternating(a, b, m - 1 + int(rng.random() * 3))
+        else:
+            b = pick(hubs)
+            row = sys.neighbors(b)
+            a, c = pick(sorted(row)), pick(sorted(row))
+            word += alternating(a, b, row[a]) + alternating(c, b, row[c])
+    return tuple(word)
+
+
+# the least budget at which each seeded word reduces: the rewrite steps
+# (the input, stack-pass rewrites, exchanges and emissions not in front),
+# or 0 when the first step is the only one
+LEAST_BUDGETS = {
+    "star": (
+        star(3, 5, 7, 9).system,
+        [2, 6, 4, 8, 7, 4, 2, 5, 3, 7, 4, 7, 7, 5, 5, 6, 4, 2, 9, 5],
+    ),
+    "path": (
+        path_system((3, 3, 3, 3)),
+        [0, 6, 3, 0, 8, 0, 0, 3, 3, 2, 4, 2, 0, 0, 2, 0, 4, 3, 4, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_BUDGETS))
+def test_reduce_step_count_is_pinned(name):
+    sys, expected = LEAST_BUDGETS[name]
+    rng = random.Random(f"steps/{name}")
+    for least in expected:
+        word = _mixed_word(rng, sys, 5)
+        canon = reduce_word(sys, word)
+        assert reduce_word(sys, word, budget=least) == canon
+        if least:
+            with pytest.raises(
+                OrbitBudgetExceeded,
+                match=f"word engine exceeded {least - 1} rewrite steps",
+            ):
+                reduce_word(sys, word, budget=least - 1)
 
 
 # ------------------------------------------------------------------- equal
@@ -222,6 +282,16 @@ def test_conjugate_examples():
     assert conjugate(star(3).system, (2,), (1,)) == (1, 2, 1)
 
 
+def test_conjugate_reports_the_first_bad_letter_of_x_then_v():
+    sys = star(3).system
+    with pytest.raises(BadLetter, match="letter 7 out of range"):
+        conjugate(sys, (9,), (1, 7, "x"))
+    with pytest.raises(BadLetter, match="letter 'x' is not an integer"):
+        conjugate(sys, (9,), iter([1, "x"]))
+    with pytest.raises(BadLetter, match="letter 9 out of range"):
+        conjugate(sys, (2, 9, 0), [2, 1])
+
+
 # ----------------------------------------------------------- descents etc.
 
 
@@ -280,6 +350,25 @@ def test_every_ball_involution_conjugates_to_base():
             assert len(v) % 2 == 1  # involutions have odd length
             x = involution_to_base(s, v)
             assert conjugate(s.system, v, x) == (1,)
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [star(3, 3).system, star(3, 5, 7).system, path_system((3, 3, 3, 3))],
+    ids=["star33", "star357", "path3333"],
+)
+def test_left_descent_shortens_a_reflection_by_two(sys):
+    # every involution is a reflection t, and each left descent s != t
+    # gives length(s t s) = length(t) - 2
+    pairs = 0
+    for v in cayley_ball(sys, 6).elements:
+        if not v or reduce_word(sys, v + v) != ():
+            continue
+        for s in left_descents(sys, v):
+            if v != (s,):
+                pairs += 1
+                assert len(reduce_word(sys, (s,) + v + (s,))) == len(v) - 2
+    assert pairs
 
 
 def test_dihedral_log_examples():
