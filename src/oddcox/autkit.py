@@ -13,6 +13,17 @@ checks the recomposition; failure of any step is reported as
 by ``try_invert``.  Inverses and normality witnesses are computed from
 the three factors, so each image is reduced once.
 
+Every image of such an automorphism is x^-1 core x, so ``apply`` and
+``compose`` substitute through the common conjugator.  When every image
+a word uses is p + core + p^-1 letter for letter, the letterwise
+substitution p core_1 p^-1 p core_2 p^-1 ... is spelled
+p core_1 core_2 ... p^-1; ``compose(e1, e2)`` reduces e1(q) and e1(q^-1)
+once for the common conjugator q of e2's images and reduces each image
+as e1(q) + e1(core) + e1(q^-1).  Both steps only cancel p^-1 p or
+replace a factor by its reduced form, which changes no element for any
+list of images, homomorphism or not, so every canonical word is the
+same as that of the letterwise substitution.
+
 Composition convention: compose(e1, e2) applies e2 first.
 """
 
@@ -37,6 +48,7 @@ from .words import (
     DEFAULT_ORBIT_BUDGET,
     Word,
     _dihedral_position,
+    _reduce,
     alternating,
     check_word,
     inverse_word,
@@ -69,6 +81,43 @@ def identity_endo(sys: CoxeterSystem) -> Endomorphism:
     return Endomorphism(system=sys, images=tuple((i,) for i in sys.generators))
 
 
+def _check_images(sys: CoxeterSystem, e: Endomorphism, word: Word, images: dict):
+    """Add e's checked image of each letter of ``word`` not yet in ``images``.
+
+    Letters are met in order of first occurrence, so the first bad letter
+    raised is the first one in the letterwise substituted word."""
+    for letter in word:
+        if letter not in images:
+            images[letter] = check_word(sys, e.image_of(letter))
+
+
+def _conjugator(words) -> Word:
+    """The longest p with every word equal to p + core + p^-1 letter for letter."""
+    first = words[0] if words else ()
+    k = min(map(len, words), default=0) // 2
+    for i in range(k):
+        a = first[i]
+        for w in words:
+            if w[i] != a or w[-1 - i] != a:
+                return first[:i]
+    return first[:k]
+
+
+def _substitute(images: dict, word: Word) -> list:
+    """``word`` with each letter replaced by its image, spelled p + cores + p^-1
+    when every image it uses is p + core + p^-1: the p^-1 p at each letter
+    boundary cancels freely, so this is exact for any map of the letters."""
+    letters = set(word)
+    p = _conjugator([images[a] for a in letters])
+    k = len(p)
+    cores = {a: images[a][k : len(images[a]) - k] for a in letters} if k else images
+    out = list(p)
+    for a in word:
+        out += cores[a]
+    out += reversed(p)
+    return out
+
+
 def apply(
     sys: CoxeterSystem,
     e: Endomorphism,
@@ -76,14 +125,13 @@ def apply(
     budget: int = DEFAULT_ORBIT_BUDGET,
 ):
     """Canonical form of the image of a word: substitute letterwise, reduce."""
-    # identity first: compose calls this once per generator with the same system
+    # identity first: satisfies_relations calls this once per relator
     if e.system is not sys and e.system != sys:
         raise NotAutomorphism("endomorphism belongs to a different system")
     word = check_word(sys, word)
-    out: list[int] = []
-    for letter in word:
-        out.extend(e.image_of(letter))
-    return reduce_word(sys, tuple(out), budget)
+    images: dict = {}
+    _check_images(sys, e, word, images)
+    return _reduce(sys, _substitute(images, word), budget)
 
 
 def satisfies_relations(
@@ -173,14 +221,33 @@ def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
 def compose(
     e1: Endomorphism, e2: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
-    """compose(e1, e2)(w) = e1(e2(w))."""
+    """compose(e1, e2)(w) = e1(e2(w)).
+
+    When every image of e2 is q + core + q^-1, each image of the composite
+    is one reduction of e1(q) + e1(core) + e1(q^-1), with e1(q) and e1(q^-1)
+    reduced once per call (e1 need not map letters to involutions, so
+    e1(q^-1) is not taken as the reversal of e1(q)).
+    """
     if e1.system != e2.system:
         raise NotAutomorphism("cannot compose endomorphisms of different systems")
     sys = e1.system
+    images: dict = {}
+    words = []
+    for g in sys.generators:
+        # e2's image first, then e1's images of its letters, as apply checks
+        words.append(check_word(sys, e2.image_of(g)))
+        _check_images(sys, e1, words[-1], images)
+    q = _conjugator(words)
+    k = len(q)
+    head = _reduce(sys, _substitute(images, q), budget)
+    tail = _reduce(sys, _substitute(images, inverse_word(q)), budget)
     return Endomorphism(
         system=sys,
         images=tuple(
-            apply(sys, e1, e2.image_of(g), budget) for g in sys.generators
+            _reduce(
+                sys, [*head, *_substitute(images, w[k : len(w) - k]), *tail], budget
+            )
+            for w in words
         ),
     )
 
@@ -232,7 +299,7 @@ def recompose(
     return Endomorphism(
         system=sys,
         images=tuple(
-            reduce_word(sys, xinv + _core(f, g) + x, budget) for g in sys.generators
+            _reduce(sys, xinv + _core(f, g) + x, budget) for g in sys.generators
         ),
     )
 
@@ -258,7 +325,7 @@ def invert_factorization(
         perm=tuple(back[g] for g in star.leaves),
     )
     word = tuple(a for g in f.inner for a in _core(psi, g))
-    image = reduce_word(star.system, word, budget)
+    image = _reduce(star.system, word, budget)
     return AutFactorization(inner=inverse_word(image), cvec=psi.cvec, perm=psi.perm)
 
 
@@ -287,7 +354,7 @@ def factorize(
     cvec = {}
     for i in star.leaves:
         # the leaf's image under psi = inner(x) o e
-        u = reduce_word(sys, x + images[i - 1] + xinv, budget)
+        u = _reduce(sys, x + images[i - 1] + xinv, budget)
         letters = set(u)
         leaf_letters = letters - {1}
         if len(leaf_letters) != 1:
@@ -374,11 +441,11 @@ def normality_witness(
         # letter into the quotient: the merge map is a homomorphism
         image = xinv + _core(f, g[0]) + _core(f, g[1]) + x
         pushed = tuple(mapping[letter - 1] for letter in image)
-        evidence = reduce_word(quotient, pushed, budget)
+        evidence = _reduce(quotient, pushed, budget)
         if evidence == ():
             return None
         kernel_check = tuple(mapping[letter - 1] for letter in g)
-        if reduce_word(quotient, kernel_check, budget) != ():
+        if _reduce(quotient, kernel_check, budget) != ():
             raise NoMergeWitness("witness candidate does not lie in the kernel")
         return NormalityWitness(
             g=g, merge=pair, evidence=evidence, quotient=quotient, mapping=mapping

@@ -43,6 +43,10 @@ letter is not already in front.  Exceeding it raises
 ``OrbitBudgetExceeded`` rather than returning a wrong answer.  Nothing
 is memoized: every call reduces its word afresh and keeps no state.
 
+``_reduce`` checks no letter.  The public entry points check theirs with
+``check_word`` first; only code in this module and in ``autkit`` that
+builds its words from letters already checked calls ``_reduce`` directly.
+
 Conjugation is fixed as ``conjugate(v, x) = x v x^-1`` throughout the
 package; the inner map induced by ``x`` sends g to x g x^-1.
 
@@ -189,7 +193,7 @@ def _descents(sys: CoxeterSystem, canon: Word) -> set:
     return {key for key in state if type(key) is int}
 
 
-def _reduce(sys: CoxeterSystem, word: Word, budget: int) -> Word:
+def _reduce(sys: CoxeterSystem, word: Sequence[int], budget: int) -> Word:
     pending, steps = _stack_pass(sys, word, budget)
     if not steps:  # no run of m letters is left: the word is canonical
         return tuple(pending)
@@ -309,12 +313,12 @@ def involution_to_base(
     cur = reduce_word(sys, v, budget)
     if cur == ():
         raise NotInvolution("the identity is not a nontrivial involution")
-    if reduce_word(sys, cur + cur, budget) != ():
+    if _reduce(sys, cur + cur, budget) != ():
         raise NotInvolution("word does not square to the identity")
     acc: list[int] = []
     while len(cur) > 1:
         s = cur[0]
-        cand = reduce_word(sys, (s,) + cur + (s,), budget)
+        cand = _reduce(sys, (s,) + cur + (s,), budget)
         if len(cand) != len(cur) - 2:
             raise NoDescentStep(
                 "no generator shortens the involution; input is inconsistent"
@@ -328,7 +332,7 @@ def involution_to_base(
         x = shift + tuple(acc)
     else:
         x = tuple(acc)
-    return reduce_word(sys, x, budget)
+    return _reduce(sys, x, budget)
 
 
 def dihedral_log(
