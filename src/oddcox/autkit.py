@@ -165,9 +165,6 @@ def theta_auto(
     which is sent to w_1 (w_1 w_i)^k; requires gcd(k, t_i) = 1."""
     if i not in star.leaves:
         raise BadThetaExponent(f"{i} is not a leaf")
-    t = star.t_of(i)
-    if not (1 <= k < t) or math.gcd(k, t) != 1:
-        raise BadThetaExponent(f"exponent {k} invalid for leaf of label {t}")
     cvec = [1] * (star.rank - 1)
     cvec[i - 2] = k
     return theta_product(star, cvec, budget)
@@ -279,6 +276,16 @@ def _core(f: AutFactorization, g: int) -> Word:
     return alternating(f.perm_of(g), 1, 2 * f.cvec[g - 2] - 1)
 
 
+def _spell(f: AutFactorization, word: Sequence[int]) -> list:
+    """x^-1 psi(word) x letter by letter, unreduced, with x = f.inner and
+    psi = graph(perm) o exponent_product(cvec) sending g to ``_core(f, g)``."""
+    out = list(inverse_word(f.inner))
+    for g in word:
+        out += _core(f, g)
+    out += f.inner
+    return out
+
+
 def _checked(star: StarForm, f: AutFactorization) -> AutFactorization:
     """f with its permutation as an image tuple, once the permutation, the
     exponents and the inner word are validated, in that order."""
@@ -294,13 +301,9 @@ def recompose(
 ) -> Endomorphism:
     sys = star.system
     f = _checked(star, f)
-    x = f.inner
-    xinv = inverse_word(x)
     return Endomorphism(
         system=sys,
-        images=tuple(
-            _reduce(sys, xinv + _core(f, g) + x, budget) for g in sys.generators
-        ),
+        images=tuple(_reduce(sys, _spell(f, (g,)), budget) for g in sys.generators),
     )
 
 
@@ -324,8 +327,7 @@ def invert_factorization(
         cvec=tuple(pow(f.cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
         perm=tuple(back[g] for g in star.leaves),
     )
-    word = tuple(a for g in f.inner for a in _core(psi, g))
-    image = _reduce(star.system, word, budget)
+    image = _reduce(star.system, _spell(psi, f.inner), budget)
     return AutFactorization(inner=inverse_word(image), cvec=psi.cvec, perm=psi.perm)
 
 
@@ -432,15 +434,12 @@ def normality_witness(
     f = _checked(star, f)
     if is_inner(star, f):
         raise IsInnerNoWitness("inner automorphisms preserve every normal subgroup")
-    x = f.inner
-    xinv = inverse_word(x)
 
     def certified(g, pair):
         quotient, mapping = merge_generators(star, *pair)
         # the image of g = g1 g2 under inner(x^-1) o psi, pushed letter by
         # letter into the quotient: the merge map is a homomorphism
-        image = xinv + _core(f, g[0]) + _core(f, g[1]) + x
-        pushed = tuple(mapping[letter - 1] for letter in image)
+        pushed = tuple(mapping[letter - 1] for letter in _spell(f, g))
         evidence = _reduce(quotient, pushed, budget)
         if evidence == ():
             return None
@@ -482,14 +481,10 @@ def try_invert(
     except NotAutomorphism as exc:
         raise NotSurjective(f"endomorphism is not onto: {exc}") from exc
     inverse = recompose(star, invert_factorization(star, f, budget), budget)
-    ident = identity_endo(star.system)
     forward = compose(e, inverse, budget)
     backward = compose(inverse, e, budget)
-    for g in star.system.generators:
-        if forward.image_of(g) != ident.image_of(g) or backward.image_of(
-            g
-        ) != ident.image_of(g):
-            raise NotSurjective("inverse check failed; endomorphism is not onto")
+    if not forward.images == backward.images == identity_endo(star.system).images:
+        raise NotSurjective("inverse check failed; endomorphism is not onto")
     return inverse
 
 

@@ -430,11 +430,7 @@ def merge_generators(star: StarForm, i: int, j: int):
             mapping[j - 1] = new_index
         else:
             mapping[tag - 1] = new_index
-    if not entries:
-        quotient = CoxeterSystem(1)
-    else:
-        quotient = _star_system([t for t, _ in entries])
-    return quotient, tuple(mapping)
+    return _star_system([t for t, _ in entries]), tuple(mapping)
 
 
 def cycle_notation(images: Sequence[int]) -> str:

@@ -58,37 +58,22 @@ DEFAULT_GROUP_CAP = 2000
 
 
 class Permutation(_Record):
-    """Bijection of {1..n}; images[i-1] is the image of i.
-
-    Products apply the left factor first: (p * q)(x) = q(p(x)).
-    """
+    """Bijection of {1..n}; images[i-1] is the image of i, stored as a tuple."""
 
     images: tuple
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+        images = tuple(self.images)
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise NotBijectiveHom(f"{self.images} is not a permutation")
+        object.__setattr__(self, "images", images)
 
     @property
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise NotBijectiveHom("degrees differ")
-        return Permutation(tuple(other(self(i)) for i in range(1, self.degree + 1)))
-
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i in range(1, self.degree + 1):
-            out[self(i) - 1] = i
-        return Permutation(tuple(out))
-
     def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.degree + 1))
+        return self.images == tuple(range(1, self.degree + 1))
 
     def __str__(self) -> str:
         return format_cycles(self)
@@ -144,8 +129,6 @@ def build_ln(n: int) -> CoxeterSystem:
     """Rank n-1 path with all labels 3; rank 1 when n = 2."""
     if n < 2:
         raise RankTooSmall("the family starts at two strands")
-    if n == 2:
-        return CoxeterSystem(1)
     return path_system([3] * (n - 2))
 
 
@@ -205,7 +188,7 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
     if not classify(sys).in_tw:
         raise NotInTW("system is not an odd connected tree of rank >= 2")
     n = sys.rank
-    if n == 2 or len(sys.neighbors(1)) == n - 1:
+    if len(sys.neighbors(1)) == n - 1:
         # star centered at 1
         orders = [sys.m(1, i) for i in range(2, n + 1)]
         if any(m == INFINITY for m in orders):

@@ -120,8 +120,7 @@ def split_inn_c(star: StarForm) -> Optional[ComplementD]:
         (
             (leaf, p)
             for leaf in star.leaves
-            for p, _, _ in unit_group(star.t_of(leaf)).factors
-            if p % 4 == 3
+            if (p := _qualifying_prime(star.t_of(leaf))) is not None
         ),
         None,
     )

@@ -1,10 +1,10 @@
 """Reference implementations of the path-group tools, kept for tests.
 
 These are the straightforward versions: the Cayley-graph search and the
-group table multiply ``Permutation`` objects, the Tietze pass re-scans
-every relator after each elimination, and twisted classes are merged
-pair by pair in a union-find.  The library versions must return exactly
-what these return.
+group table multiply ``Permutation`` objects with ``perm_mul``, the
+Tietze pass re-scans every relator after each elimination, and twisted
+classes are merged pair by pair in a union-find.  The library versions
+must return exactly what these return.
 """
 
 from collections import deque
@@ -18,6 +18,28 @@ from oddcox.pathgroups import (
     identity_perm,
 )
 from oddcox.words import alternating
+
+
+def perm_image(p, i):
+    """The image of the point i under p."""
+    return p.images[i - 1]
+
+
+def perm_mul(p, q):
+    """The product applying the left factor first: perm_mul(p, q)(x) = q(p(x))."""
+    if p.degree != q.degree:
+        raise NotBijectiveHom("degrees differ")
+    return Permutation(
+        tuple(perm_image(q, perm_image(p, i)) for i in range(1, p.degree + 1))
+    )
+
+
+def perm_inverse(p):
+    """The permutation q with perm_mul(p, q) the identity."""
+    out = [0] * p.degree
+    for i in range(1, p.degree + 1):
+        out[perm_image(p, i) - 1] = i
+    return Permutation(tuple(out))
 
 
 def simplify_limited(num_symbols, relators):
@@ -67,7 +89,7 @@ def _bfs(gens, cap, too_large):
     while queue:
         state = queue.popleft()
         for k, g in enumerate(gens):
-            nxt = elements[state] * g
+            nxt = perm_mul(elements[state], g)
             if nxt.images not in index:
                 if len(elements) >= cap:
                     raise too_large()
@@ -87,7 +109,7 @@ def rs_kernel(sys: CoxeterSystem, images, image_cap=10**5):
         lambda: ImageTooLarge(f"image group exceeds {image_cap} elements"),
     )
     table = [
-        [index[(el * images[k]).images] for k in range(n)] for el in elements
+        [index[perm_mul(el, images[k]).images] for k in range(n)] for el in elements
     ]
     symbol = {}
     for s in range(len(elements)):
@@ -116,7 +138,7 @@ def perm_group_table(gens, cap):
     elements, index, _ = _bfs(
         gens, cap, lambda: GroupTooLarge(f"group exceeds {cap} elements")
     )
-    table = [[index[(a * b).images] for b in elements] for a in elements]
+    table = [[index[perm_mul(a, b).images] for b in elements] for a in elements]
     return elements, table
 
 
@@ -178,5 +200,5 @@ def pi_image(n, word):
     for letter in word:
         images = list(range(1, n + 1))
         images[letter - 1], images[letter] = images[letter], images[letter - 1]
-        out = out * Permutation(tuple(images))
+        out = perm_mul(out, Permutation(tuple(images)))
     return out

@@ -3,7 +3,14 @@
 
 import pytest
 
-from oddcox import AutFactorization, apply, identity_endo, normality_witness, recompose
+from oddcox import (
+    AutFactorization,
+    apply,
+    identity_endo,
+    normality_witness,
+    recompose,
+    theta_auto,
+)
 from oddcox.errors import BadThetaExponent, BlockViolatingPermutation, NotAutomorphism
 from conftest import star
 
@@ -28,3 +35,13 @@ def test_apply_refuses_an_endomorphism_of_another_system():
     message = "endomorphism belongs to a different system"
     with pytest.raises(NotAutomorphism, match=message):
         apply(star(3, 5).system, foreign, (1, 2))
+
+
+def test_theta_auto_refuses_a_bad_exponent_through_the_factor_check():
+    s = star(3, 5, 9)
+    for leaf, k in ((2, 3), (3, 5), (4, 3), (4, 0), (3, 6)):
+        message = rf"^exponent {k} invalid for leaf {leaf}$"
+        with pytest.raises(BadThetaExponent, match=message):
+            theta_auto(s, leaf, k)
+    with pytest.raises(BadThetaExponent, match="^5 is not a leaf$"):
+        theta_auto(s, 5, 2)

@@ -7,7 +7,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddcox import split_inn_c, unit_group
+from oddcox import out_descriptor, split_inn_c, unit_group
 from oddcox.units import c_mod_minus_one_invariants
 from conftest import star
 from tietze_oracle import _smith
@@ -55,3 +55,30 @@ def test_complement_generators_are_pinned():
     }
     for multiset, generators in expected.items():
         assert split_inn_c(star(*multiset)).generators == generators, multiset
+
+
+def test_splitting_prime_choice_is_pinned():
+    """The (leaf, prime) choice where the first qualifying exponent has two
+    primes = 3 mod 4 (21 = 3 * 7, 33 = 3 * 11) and where the qualifying
+    leaf is not the first leaf: generators, order and the outer data."""
+    expected = {
+        (21,): (((10,),), 6, (6,), True),
+        (33,): (((13,),), 10, (10,), True),
+        (5, 21): (((2, 1), (1, 10)), 24, (2, 12), True),
+        (21, 33): (((10, 1), (1, 23), (1, 13)), 120, (2, 2, 30), True),
+        (21, 21): (((10, 1), (1, 8), (1, 10)), 72, (2, 6, 6), False),
+        (5, 5, 33): (((2, 1, 1), (1, 2, 1), (1, 1, 13)), 160, (2, 4, 20), True),
+        (5, 7): (((2, 1), (1, 2)), 12, (12,), True),
+        (5, 13, 19): (((2, 1, 1), (1, 2, 1), (1, 1, 4)), 432, (12, 36), True),
+    }
+    for multiset, (generators, order, abelian, guaranteed) in expected.items():
+        s = star(*multiset)
+        complement = split_inn_c(s)
+        assert complement.generators == generators, multiset
+        assert complement.order == order, multiset
+        d = out_descriptor(s)
+        assert d.out_abelian == abelian, multiset
+        assert d.c_order == 2 * order, multiset
+        assert d.inn_c_splits is True, multiset
+        assert d.aut_out_split_guaranteed is guaranteed, multiset
+        assert (d.note is None) is guaranteed, multiset
