@@ -7,8 +7,11 @@ automorphisms of a star factor as
 
 where perm permutes leaves within blocks of equal exponent and cvec
 collects, per leaf i, the exponent k of the reflection map
-w_i -> w_1 (w_1 w_i)^k.  ``factorize`` recovers the three parts and
-checks the recomposition; failure of any step is reported as
+w_i -> w_1 (w_1 w_i)^k.  The factors spell each image as x^-1 core x,
+where a core is the ShortLex normal form of the center or of
+w_1 (w_1 w_j)^k, read off from k and t_j alone.  ``factorize`` recovers
+the three parts and certifies them by checking that x conjugates every
+image onto its core word for word; failure of any step is reported as
 ``NotAutomorphism``, which doubles as the non-surjectivity detector used
 by ``try_invert``.  Inverses and normality witnesses are computed from
 the three factors, so each image is reduced once.
@@ -267,21 +270,34 @@ class AutFactorization(_Record):
         return all(self.perm_of(i) == i for i in range(2, len(self.perm) + 2))
 
 
-def _core(f: AutFactorization, g: int) -> Word:
-    """Image of generator g under graph(perm) o exponent_product(cvec):
-    the center is fixed and leaf g goes to w_1 (w_1 w_j)^k with j = perm(g),
-    spelled without its leading pair (1 1) as (j 1 j ... j), 2k - 1 letters."""
+def _core(star: StarForm, f: AutFactorization, g: int) -> Word:
+    """Image of generator g under graph(perm) o exponent_product(cvec), as
+    its ShortLex normal form.
+
+    The center is fixed.  Leaf g goes to the reflection w_1 (w_1 w_j)^k
+    with j = perm(g), k = cvec(g) and t = t_j = t_g; without its leading
+    pair (1 1) that is (j 1 j ... j), 2k - 1 letters.  Since
+    (w_1 w_j)^t = 1 it is also w_1 (w_j w_1)^(t - k), that is
+    (1 j 1 ... 1), 2(t - k) + 1 letters.  The reduced words of an element
+    of the dihedral group <w_1, w_j>, of order 2t, use only 1 and j, and an
+    alternating word of fewer than t letters is the one reduced word of its
+    element, so the shorter spelling is the normal form.  At 2k = t + 1
+    both spell the longest element, whose ShortLex form starts with 1 < j.
+    """
     if g == 1:
         return (1,)
-    return alternating(f.perm_of(g), 1, 2 * f.cvec[g - 2] - 1)
+    j, k, t = f.perm_of(g), f.cvec[g - 2], star.t_of(g)
+    if 2 * k < t + 1:
+        return alternating(j, 1, 2 * k - 1)
+    return alternating(1, j, 2 * (t - k) + 1)
 
 
-def _spell(f: AutFactorization, word: Sequence[int]) -> list:
+def _spell(star: StarForm, f: AutFactorization, word: Sequence[int]) -> list:
     """x^-1 psi(word) x letter by letter, unreduced, with x = f.inner and
-    psi = graph(perm) o exponent_product(cvec) sending g to ``_core(f, g)``."""
+    psi = graph(perm) o exponent_product(cvec) sending g to ``_core``."""
     out = list(inverse_word(f.inner))
     for g in word:
-        out += _core(f, g)
+        out += _core(star, f, g)
     out += f.inner
     return out
 
@@ -303,7 +319,9 @@ def recompose(
     f = _checked(star, f)
     return Endomorphism(
         system=sys,
-        images=tuple(_reduce(sys, _spell(f, (g,)), budget) for g in sys.generators),
+        images=tuple(
+            _reduce(sys, _spell(star, f, (g,)), budget) for g in sys.generators
+        ),
     )
 
 
@@ -327,7 +345,7 @@ def invert_factorization(
         cvec=tuple(pow(f.cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
         perm=tuple(back[g] for g in star.leaves),
     )
-    image = _reduce(star.system, _spell(psi, f.inner), budget)
+    image = _reduce(star.system, _spell(star, psi, f.inner), budget)
     return AutFactorization(inner=inverse_word(image), cvec=psi.cvec, perm=psi.perm)
 
 
@@ -339,7 +357,17 @@ def factorize(
     Steps: conjugate the image of the center back to the center; each leaf
     image must then be a reflection inside exactly one maximal dihedral
     subgroup, which pins the leaf permutation and the exponent vector;
-    finally the recomposition must reproduce the input on every generator.
+    finally the factors must reproduce the input on every generator g.
+
+    That last certificate is checked through the cores: the reduced word of
+    x e(g) x^-1 must be ``_core(star, f, g)`` letter for letter.  At a leaf
+    that word is the u the leaf loop reduced, so only the center needs one
+    more reduction.  As elements, x e(g) x^-1 = core exactly when
+    e(g) = x^-1 core x, the recomposed image of g.  Each element has one
+    ShortLex normal form and ``_core`` spells it, so the two words are equal
+    exactly when those elements are: this is the recomposition check.  The
+    center's comparison also certifies the conjugator x that
+    ``involution_to_base`` returned.
     """
     sys = star.system
     if e.system != sys:
@@ -354,6 +382,7 @@ def factorize(
     xinv = inverse_word(x)
     perm = {}
     cvec = {}
+    leaf_words = []  # reduced x e(i) x^-1 for each leaf i
     for i in star.leaves:
         # the leaf's image under psi = inner(x) o e
         u = _reduce(sys, x + images[i - 1] + xinv, budget)
@@ -381,14 +410,15 @@ def factorize(
             raise NotAutomorphism(f"two leaves map into the subgroup of leaf {j}")
         perm[i] = j
         cvec[i] = k
+        leaf_words.append(u)
     f = AutFactorization(
         inner=x,
         cvec=tuple(cvec[i] for i in star.leaves),
         perm=tuple(perm[i] for i in star.leaves),
     )
-    rebuilt = recompose(star, f, budget)
-    for g in sys.generators:
-        if rebuilt.image_of(g) != images[g - 1]:
+    center = _reduce(sys, x + images[0] + xinv, budget)
+    for g, word in zip(sys.generators, [center, *leaf_words]):
+        if word != _core(star, f, g):
             raise NotAutomorphism(
                 f"recomposition differs from the input on generator {g}"
             )
@@ -439,7 +469,7 @@ def normality_witness(
         quotient, mapping = merge_generators(star, *pair)
         # the image of g = g1 g2 under inner(x^-1) o psi, pushed letter by
         # letter into the quotient: the merge map is a homomorphism
-        pushed = tuple(mapping[letter - 1] for letter in _spell(f, g))
+        pushed = tuple(mapping[letter - 1] for letter in _spell(star, f, g))
         evidence = _reduce(quotient, pushed, budget)
         if evidence == ():
             return None
