@@ -9,12 +9,14 @@ where perm permutes leaves within blocks of equal exponent and cvec
 collects, per leaf i, the exponent k of the reflection map
 w_i -> w_1 (w_1 w_i)^k.  The factors spell each image as x^-1 core x,
 where a core is the ShortLex normal form of the center or of
-w_1 (w_1 w_j)^k, read off from k and t_j alone.  ``factorize`` recovers
-the three parts and certifies them by checking that x conjugates every
-image onto its core word for word; failure of any step is reported as
-``NotAutomorphism``, which doubles as the non-surjectivity detector used
-by ``try_invert``.  Inverses and normality witnesses are computed from
-the three factors, so each image is reduced once.
+w_1 (w_1 w_j)^k, read off from k and t_j alone.  ``factorize`` takes x
+from the center's image, reduces x e(g) x^-1 once per generator g, reads
+perm and cvec off those words, validates them with ``_checked`` (the
+validator ``recompose`` uses) and certifies them by checking that each
+word is the core of g letter for letter; failure of any step is reported
+as ``NotAutomorphism``, which doubles as the non-surjectivity detector
+used by ``try_invert``.  Inverses and normality witnesses are computed
+from the three factors, so each image is reduced once.
 
 Every image of such an automorphism is x^-1 core x, so ``apply`` and
 ``compose`` substitute through the common conjugator.  When every image
@@ -56,7 +58,6 @@ from .words import (
     check_word,
     inverse_word,
     involution_to_base,
-    reduce_word,
 )
 
 
@@ -354,38 +355,44 @@ def factorize(
 ) -> AutFactorization:
     """Factor a verified endomorphism, or prove it is no automorphism.
 
-    Steps: conjugate the image of the center back to the center; each leaf
-    image must then be a reflection inside exactly one maximal dihedral
-    subgroup, which pins the leaf permutation and the exponent vector;
-    finally the factors must reproduce the input on every generator g.
+    Four steps, each refusal reported as ``NotAutomorphism``:
 
-    That last certificate is checked through the cores: the reduced word of
-    x e(g) x^-1 must be ``_core(star, f, g)`` letter for letter.  At a leaf
-    that word is the u the leaf loop reduced, so only the center needs one
-    more reduction.  As elements, x e(g) x^-1 = core exactly when
-    e(g) = x^-1 core x, the recomposed image of g.  Each element has one
-    ShortLex normal form and ``_core`` spells it, so the two words are equal
-    exactly when those elements are: this is the recomposition check.  The
-    center's comparison also certifies the conjugator x that
-    ``involution_to_base`` returned.
+    1. ``involution_to_base`` finds x with x e(1) x^-1 = w_1; it refuses an
+       identity or non-involution image of the center.
+    2. Reduce u_g = x e(g) x^-1 once for every generator g.
+    3. Each leaf's u must lie in exactly one maximal dihedral subgroup
+       <w_1, w_j>; its position there gives the exponent k.  ``_checked``
+       then validates the read factors: perm must be a block-respecting
+       permutation of the leaves and every k a unit mod its label.
+    4. Certify: every u_g must be ``_core(star, f, g)`` letter for letter.
+
+    The certificate is the recomposition check.  As elements,
+    x e(g) x^-1 = core exactly when e(g) = x^-1 core x, the recomposed image
+    of g; each element has one ShortLex normal form and ``_core`` spells it,
+    so the words agree exactly when the elements do.  The center's
+    comparison also certifies the conjugator x.  A core is a reflection of
+    <w_1, w_j>, spelled with an odd number of letters, and a rotation with
+    an even number, so a leaf sent to a rotation fails the certificate.
+
+    So a map is accepted exactly when x e(1) x^-1 = w_1 and every leaf i
+    has x e(i) x^-1 a reflection w_1 (w_1 w_j)^k with j in i's label
+    block, no j taken twice and k a unit mod t_j.  ``_checked`` tests the
+    last three (j is one-to-one exactly when it permutes the leaves) and
+    the certificate the first two, so no further check of parity, labels,
+    exponents or injectivity is needed.
     """
     sys = star.system
     if e.system != sys:
         raise NotAutomorphism("cannot compose endomorphisms of different systems")
-    images = tuple(reduce_word(sys, w, budget) for w in e.images)
-    if images[0] == ():
-        raise NotAutomorphism("center generator maps to the identity")
+    images = [check_word(sys, w) for w in e.images]
     try:
         x = involution_to_base(star, images[0], budget)
     except NotInvolution as exc:
         raise NotAutomorphism(f"center image is not an involution: {exc}") from exc
     xinv = inverse_word(x)
-    perm = {}
-    cvec = {}
-    leaf_words = []  # reduced x e(i) x^-1 for each leaf i
-    for i in star.leaves:
-        # the leaf's image under psi = inner(x) o e
-        u = _reduce(sys, x + images[i - 1] + xinv, budget)
+    us = [_reduce(sys, x + w + xinv, budget) for w in images]
+    perm, cvec = [], []
+    for i, u in zip(star.leaves, us[1:]):
         letters = set(u)
         leaf_letters = letters - {1}
         if len(leaf_letters) != 1:
@@ -394,31 +401,14 @@ def factorize(
                 "expected exactly one maximal dihedral subgroup"
             )
         (j,) = leaf_letters
-        parity, k = _dihedral_position(star.t_of(j), u)
-        if parity != "odd":
-            raise NotAutomorphism(f"image of leaf {i} is a rotation, not a reflection")
-        if star.t_of(i) != star.t_of(j):
-            raise NotAutomorphism(
-                f"leaf {i} (label {star.t_of(i)}) maps into the subgroup of "
-                f"leaf {j} (label {star.t_of(j)})"
-            )
-        if k < 1 or math.gcd(k, star.t_of(j)) != 1:
-            raise NotAutomorphism(
-                f"leaf {i} maps to a reflection of non-coprime exponent {k}"
-            )
-        if j in perm.values():
-            raise NotAutomorphism(f"two leaves map into the subgroup of leaf {j}")
-        perm[i] = j
-        cvec[i] = k
-        leaf_words.append(u)
-    f = AutFactorization(
-        inner=x,
-        cvec=tuple(cvec[i] for i in star.leaves),
-        perm=tuple(perm[i] for i in star.leaves),
-    )
-    center = _reduce(sys, x + images[0] + xinv, budget)
-    for g, word in zip(sys.generators, [center, *leaf_words]):
-        if word != _core(star, f, g):
+        perm.append(j)
+        cvec.append(_dihedral_position(star.t_of(j), u)[1])
+    try:
+        f = _checked(star, AutFactorization(inner=x, cvec=cvec, perm=perm))
+    except (BlockViolatingPermutation, BadThetaExponent) as exc:
+        raise NotAutomorphism(str(exc)) from exc
+    for g, u in zip(sys.generators, us):
+        if u != _core(star, f, g):
             raise NotAutomorphism(
                 f"recomposition differs from the input on generator {g}"
             )
