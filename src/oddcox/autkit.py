@@ -18,6 +18,16 @@ as ``NotAutomorphism``, which doubles as the non-surjectivity detector
 used by ``try_invert``.  Inverses and normality witnesses are computed
 from the three factors, so each image is reduced once.
 
+Factored automorphisms also multiply in closed form: ``compose_factors``
+gives the factors of f1 o f2 with one reduction, of psi1(x2) x1, and
+``invert_factorization`` is its inverse.  ``try_invert`` certifies the
+inverse g of f there: f o g and g o f must each be ((), all 1, id) or
+((1,), all t - 1, id), the two factorizations of the identity.  Since
+``factorize`` proved e = recompose(f) letter for letter and the product
+is exact, this certifies the returned images exactly, with no
+image-level composition.  ``outer_key`` names the outer class of f, and
+``is_inner`` asks whether that class is trivial.
+
 Every image of such an automorphism is x^-1 core x, so ``apply`` and
 ``compose`` substitute through the common conjugator.  When every image
 a word uses is p + core + p^-1 letter for letter, the letterwise
@@ -329,7 +339,8 @@ def recompose(
 def invert_factorization(
     star: StarForm, f: AutFactorization, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> AutFactorization:
-    """Factors of the inverse automorphism, computed from the factors.
+    """Factors of the inverse automorphism, computed from the factors: the
+    inverse of f under ``compose_factors``.
 
     With psi = graph(perm) o exponent_product(cvec) the map is
     inner(x^-1) o psi, so its inverse is psi^-1 o inner(x), which equals
@@ -348,6 +359,37 @@ def invert_factorization(
     )
     image = _reduce(star.system, _spell(star, psi, f.inner), budget)
     return AutFactorization(inner=inverse_word(image), cvec=psi.cvec, perm=psi.perm)
+
+
+def compose_factors(
+    star: StarForm,
+    f1: AutFactorization,
+    f2: AutFactorization,
+    budget: int = DEFAULT_ORBIT_BUDGET,
+) -> AutFactorization:
+    """Factors of f1 o f2 (f2 applied first), computed from the factors.
+
+    Write f = inner(x^-1) o psi with psi = graph(perm) o
+    exponent_product(cvec).  Two identities give the product:
+
+    - psi o inner(y) = inner(psi(y)) o psi, so f1 o f2 =
+      inner(x1^-1) o inner(psi1(x2)^-1) o psi1 o psi2, whose inner word is
+      psi1(x2) x1, reduced once;
+    - exponent_product(c) o graph(pi) = graph(pi) o exponent_product(c o pi),
+      so psi1 o psi2 = graph(pi1 o pi2) o exponent_product(c), with
+      c(i) = c1(pi2(i)) c2(i) mod t_i.
+    """
+    f1, f2 = _checked(star, f1), _checked(star, f2)
+    psi1 = AutFactorization(inner=(), cvec=f1.cvec, perm=f1.perm)
+    inner = _reduce(star.system, _spell(star, psi1, f2.inner) + list(f1.inner), budget)
+    return AutFactorization(
+        inner=inner,
+        cvec=tuple(
+            f1.cvec[j - 2] * k % star.t_of(i)
+            for i, j, k in zip(star.leaves, f2.perm, f2.cvec)
+        ),
+        perm=tuple(f1.perm[j - 2] for j in f2.perm),
+    )
 
 
 def factorize(
@@ -415,17 +457,33 @@ def factorize(
     return f
 
 
+def outer_key(star: StarForm, f: AutFactorization) -> tuple:
+    """(perm, the lesser of cvec and -cvec mod t), which names f's outer class.
+
+    f = inner(x^-1) o psi lies in the outer class of psi = graph(perm) o
+    exponent_product(cvec).  The only inner automorphisms of that form are
+    the identity and exponent_product(-1), so the maps of that form in the
+    class are psi and psi o exponent_product(-1), whose exponents are
+    -cvec.  So composing f with an inner automorphism leaves the key as it
+    is."""
+    minus = tuple((-k) % star.t_of(i) for i, k in zip(star.leaves, f.cvec))
+    return tuple(f.perm), min(tuple(f.cvec), minus)
+
+
 def is_inner(star: StarForm, f: AutFactorization) -> bool:
-    """Inner exactly when the permutation is trivial and the exponent
-    vector is all ones or all (t_i - 1): those are the only members of the
-    abelian part that conjugation can produce."""
-    if not f.perm_is_identity():
-        return False
-    all_one = all(k == 1 for k in f.cvec)
-    all_minus = all(
-        k == star.t_of(i) - 1 for i, k in zip(star.leaves, f.cvec)
-    )
-    return all_one or all_minus
+    """Inner exactly when the outer class is trivial."""
+    return outer_key(star, f) == (tuple(star.leaves), (1,) * (star.rank - 1))
+
+
+def _is_identity(star: StarForm, f: AutFactorization) -> bool:
+    """Is f, with a reduced inner word, a factorization of the identity?
+
+    The identity has exactly two: ((), all 1, id) and ((1,), all t - 1, id),
+    since exponent_product(-1) = inner(w_1).  If inner(x^-1) o psi = id,
+    then psi = inner(x) is inner, so psi is the identity or
+    exponent_product(-1); the center of W is trivial, so x is 1 or w_1,
+    whose reduced words are () and (1,)."""
+    return is_inner(star, f) and f.inner == (() if set(f.cvec) == {1} else (1,))
 
 
 class NormalityWitness(_Record):
@@ -494,18 +552,25 @@ def try_invert(
 
     A verified endomorphism that factorizes is an automorphism and its
     factors invert (``invert_factorization``); one that does not factorize
-    cannot be onto.
+    cannot be onto.  The inverse g is certified in factor space: both
+    ``compose_factors(f, g)`` and ``compose_factors(g, f)`` must be one of
+    the two factorizations of the identity (``_is_identity``), and only
+    then is g recomposed into images.  The check is exact: ``factorize``
+    has proved e = recompose(f) letter for letter, ``compose_factors`` is
+    the exact product, and a product with a reduced inner word is the
+    identity exactly when it is one of those two factorizations.
     """
     try:
         f = factorize(star, e, budget)
     except NotAutomorphism as exc:
         raise NotSurjective(f"endomorphism is not onto: {exc}") from exc
-    inverse = recompose(star, invert_factorization(star, f, budget), budget)
-    forward = compose(e, inverse, budget)
-    backward = compose(inverse, e, budget)
-    if not forward.images == backward.images == identity_endo(star.system).images:
+    inverse = invert_factorization(star, f, budget)
+    if not (
+        _is_identity(star, compose_factors(star, f, inverse, budget))
+        and _is_identity(star, compose_factors(star, inverse, f, budget))
+    ):
         raise NotSurjective("inverse check failed; endomorphism is not onto")
-    return inverse
+    return recompose(star, inverse, budget)
 
 
 # automorphism file format: {"images": [[1], [1, 2, 1], [3]]}
