@@ -17,7 +17,9 @@ The coset table and the |G| x |G| group tables come from one
 breadth-first search over the Cayley graph that composes image tuples
 directly; a group-table row is filled along the search tree, two list
 lookups per cell.  Twisted conjugacy classes on such a table are counted
-by Burnside's lemma, one row-against-column comparison per element.
+by Burnside's lemma, one row-against-column comparison per element, once
+Light's test over at most log2 |G| generators has shown the table
+associative.
 """
 
 from __future__ import annotations
@@ -453,6 +455,12 @@ def symmetric_group_table(n: int, cap: int = DEFAULT_GROUP_CAP):
     """S_n as generated by the adjacent transpositions; S_1 is trivial."""
     if n < 1:
         raise BadGroupTable(f"symmetric group degree must be at least 1, got {n}")
+    # refuse before building n - 1 transpositions of degree n
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > cap:
+            raise GroupTooLarge(f"group exceeds {cap} elements")
     # S_1 has no transpositions: its identity generates it
     return perm_group_table(symmetric_images(n) or [identity_perm(1)], cap)
 
@@ -485,6 +493,44 @@ def _inverses_of(table: Sequence[Sequence[int]]) -> list:
     return out
 
 
+def _check_associative(table: Sequence[Sequence[int]]) -> None:
+    """Light's associativity test over a generating set picked greedily.
+
+    The elements a with (x a) y = x (a y) for all x, y are closed under
+    products, so the table is associative once every generator passes.
+    Each generator is the last element outside the span of those before
+    it (a table built by breadth-first search lists its longest products
+    last, and these tend to span more: S_6 takes 4 generators, not the 5
+    that the first elements would give).  Once they have passed, and with
+    the identity and inverses the caller has checked, that span is a
+    subgroup, so each new generator at least doubles it: there are at most
+    log2 |G| of them, each tested in |G|^2 cells.
+    """
+    identity = _identity_of(table)
+    inside = [False] * len(table)
+    inside[identity] = True
+    span = [identity]
+    gens = []
+    for g in reversed(range(len(table))):
+        if inside[g]:
+            continue
+        get = itemgetter(*table[g])
+        for x, row in enumerate(table):
+            # x (g y) against (x g) y, for every y at once
+            left, right = get(row), tuple(table[row[g]])
+            if left != right:
+                y = next(y for y, (u, v) in enumerate(zip(left, right)) if u != v)
+                raise BadGroupTable(f"table is not associative at ({x}, {g}, {y})")
+        gens.append(g)
+        # every element spanned is a left-bracketed product of generators
+        for h in span:  # span grows while it is read
+            for a in gens:
+                p = table[h][a]
+                if not inside[p]:
+                    inside[p] = True
+                    span.append(p)
+
+
 def twisted_count(
     table: Sequence[Sequence[int]],
     aut: Sequence[int],
@@ -494,7 +540,7 @@ def twisted_count(
 
     By Burnside's lemma this is the mean over g of #{x : g x = x aut(g)}.
     A sum that |G| does not divide comes from no group action, so the
-    table is refused.
+    table is refused; so is a table that is not associative.
     """
     size = len(table)
     if size > cap:
@@ -520,6 +566,7 @@ def twisted_count(
             f"table is not a group: fixed-point sum {fixed} "
             f"is not divisible by the order {size}"
         )
+    _check_associative(table)
     return fixed // size
 
 

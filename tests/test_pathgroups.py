@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -409,6 +411,68 @@ def test_twisted_rejects_loop_with_indivisible_burnside_sum():
         twisted_count(loop, list(range(5)))
 
 
+def normalized_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = list(itertools.permutations(range(n)))
+    squares = [[list(range(n))]]
+    for first in range(1, n):
+        squares = [
+            square + [list(row)]
+            for square in squares
+            for row in rows
+            if row[0] == first
+            and all(row[c] != prev[c] for prev in square for c in range(n))
+        ]
+    return squares
+
+
+def is_associative(table):
+    n = len(table)
+    return all(
+        table[table[x][g]][y] == table[x][table[g][y]]
+        for x in range(n)
+        for g in range(n)
+        for y in range(n)
+    )
+
+
+def test_twisted_refuses_every_non_associative_loop_of_order_five():
+    squares = normalized_latin_squares(5)
+    assert len(squares) == 56
+    loops = [t for t in squares if not is_associative(t)]
+    assert len(loops) == 50
+    messages = []
+    for loop in loops:
+        with pytest.raises(BadGroupTable) as info:
+            twisted_count(loop, list(range(5)))
+        messages.append(str(info.value))
+    late = [m for m in messages if m.startswith("table is not associative at")]
+    assert len(late) == 24
+    # the other 26 fail the Burnside divisibility check first
+    early = [m for m in messages if m not in late]
+    assert all(m.endswith("is not divisible by the order 5") for m in early)
+    # the six associative ones are Z_5 under relabelings fixing 0
+    for group in (t for t in squares if is_associative(t)):
+        assert twisted_count(group, list(range(5))) == 5
+
+
+def test_twisted_names_a_failing_triple():
+    # its fixed-point sum 15 is a multiple of 5, so only associativity fails
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 4, 3, 2, 0],
+        [2, 3, 4, 0, 1],
+        [3, 0, 1, 4, 2],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(BadGroupTable) as info:
+        twisted_count(loop, list(range(5)))
+    pattern = r"table is not associative at \((\d), (\d), (\d)\)"
+    triple = re.fullmatch(pattern, str(info.value))
+    x, g, y = map(int, triple.groups())
+    assert loop[loop[x][g]][y] != loop[x][loop[g][y]]
+
+
 def test_cyclic_group_table_rejects_order_zero():
     with pytest.raises(BadGroupTable, match="at least 1, got 0"):
         cyclic_group_table(0)
@@ -424,6 +488,17 @@ def test_cyclic_group_table_refuses_order_above_cap_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**5  # the n x n table would take over 100 MB
+
+
+def test_symmetric_group_table_refuses_degree_above_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTooLarge, match="group exceeds 2000 elements"):
+            symmetric_group_table(3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # 2999 transpositions of degree 3000 take over 70 MB
 
 
 def test_symmetric_group_table_of_one_point_is_trivial():
