@@ -38,10 +38,19 @@ def cayley_ball(
     left descent of v (the word engine emits it first), so the canonical
     words of length r are exactly the words (s,) + u with u canonical of
     length r - 1, s not a left descent of u and s the least simple root in
-    the small-root state of s u.  Each element is built once, from the tail
-    of its canonical form, with one automaton step and no reduction.
-    Taking s in increasing order over a sorted layer keeps each layer
-    sorted.
+    the small-root state of s u.  Taking s in increasing order over a
+    sorted layer keeps each layer sorted.
+
+    The test needs no new state.  Reading s creates alpha_s, and a simple
+    root other than alpha_s only from a root rho_k of a pair that holds s
+    (see ``words._push``): rho_1 of a pair (s, b) becomes alpha_b, with
+    b > s, and rho_(m-2) of a pair (a, s) becomes alpha_a, with a < s.
+    So s is the least left descent of s u exactly when neither s nor any
+    key (a, s, m(a, s) - 2) with a < s is in the state of u: O(degree of
+    s) lookups per candidate.  Only a word that the next layer extends
+    needs its own state, so ``words._push`` runs once per accepted word
+    shorter than the radius, never for a rejected candidate or the last
+    layer, and no word is reduced.
     """
     if radius < 0:
         raise NegativeRadius(f"radius must be nonnegative, got {radius}")
@@ -50,21 +59,22 @@ def cayley_ball(
     # the previous layer, each word with its small-root state
     frontier: list = [((), {})]
     for r in range(1, radius + 1):
+        extend = r < radius
         layer = []
         for s in sys.generators:
             row = neighbors(s)
+            # the keys whose presence in u's state rules out s as the
+            # least left descent of s u
+            blocking = (s,) + tuple((a, s, m - 2) for a, m in row.items() if a < s)
             for u, state in frontier:
-                if s in state:
-                    continue
-                new = _push(row, state, s, r - 1)
-                if any(type(key) is int and key < s for key in new):
+                if not state.keys().isdisjoint(blocking):
                     continue
                 if len(elements) >= ball_budget:
                     raise BallBudgetExceeded(f"ball exceeded {ball_budget} elements")
                 w = (s,) + u
                 elements.append(w)
-                if r < radius:
-                    layer.append((w, new))
+                if extend:
+                    layer.append((w, _push(row, state, s, r - 1)))
         frontier = layer
     return CayleyBall(system=sys, radius=radius, elements=tuple(elements))
 

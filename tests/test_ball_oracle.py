@@ -10,6 +10,7 @@ from oddcox import (
     cayley_ball,
     involution_to_base,
     left_descents,
+    oracle,
     validate_system,
     words,
 )
@@ -60,6 +61,35 @@ def test_ball_matches_reference_on_generated_systems(case):
     assert cayley_ball(sys, radius).elements == reference_ball(sys, radius)
 
 
+# The ball's descent test looks up the key (a, s, m - 2), so the labels
+# here reach far past the small ones above.
+LARGE_LABELS = [3, 11, 13, 15, 21, None]
+
+
+@st.composite
+def large_label_system_and_radius(draw):
+    rank = draw(st.integers(2, 4))
+    edges = []
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
+            m = draw(st.sampled_from(LARGE_LABELS))
+            if m is not None:
+                edges.append((i, j, m))
+    if rank == 2:
+        # past the longest element of a finite dihedral group
+        top = edges[0][2] + 2 if edges else 8
+    else:
+        top = 5 if rank == 3 else 4
+    return CoxeterSystem(rank, edges), draw(st.integers(0, top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_label_system_and_radius())
+def test_ball_matches_reference_on_large_labels(case):
+    sys, radius = case
+    assert cayley_ball(sys, radius).elements == reference_ball(sys, radius)
+
+
 def _outcome(build, *args, **kwargs):
     try:
         return build(*args, **kwargs)
@@ -81,12 +111,38 @@ def test_budget_refusals_match_reference(sys, radius):
         cayley_ball(sys, radius, size - 1)
 
 
+def test_budget_refusals_match_reference_on_label_21():
+    sys, radius = validate_system([[1, 21], [21, 1]]), 23
+    size = len(reference_ball(sys, radius))
+    assert size == 42
+    for budget in sorted({-1, 0, 1, 2, 3, 21, size - 1, size, size + 1}):
+        for r in range(radius + 1):
+            got = _outcome(lambda *a: cayley_ball(*a).elements, sys, r, budget)
+            assert got == _outcome(reference_ball, sys, r, budget), (budget, r)
+
+
 def test_ball_makes_no_reductions(monkeypatch):
     def refuse(*args):
         raise AssertionError("cayley_ball reduced a word")
 
     monkeypatch.setattr(words, "_reduce", refuse)
     cayley_ball(PATH_3333, 5)
+
+
+@pytest.mark.parametrize(
+    "sys, radius", [(PATH_3333, 6), (star(3, 5, 7).system, 5)], ids=["path", "star"]
+)
+def test_ball_builds_state_only_for_words_it_extends(monkeypatch, sys, radius):
+    pushes = []
+    push = oracle._push
+
+    def counting(*args):
+        pushes.append(args)
+        return push(*args)
+
+    monkeypatch.setattr(oracle, "_push", counting)
+    elements = cayley_ball(sys, radius).elements
+    assert len(pushes) == sum(1 for w in elements if 1 <= len(w) < radius)
 
 
 @pytest.mark.parametrize("sys", [PATH_3333, star(3, 5, 7).system])
