@@ -29,14 +29,8 @@ product is exact, this certifies the returned images exactly, with no
 image-level composition.  ``outer_key`` names the outer class of f, and
 ``is_inner`` asks whether that class is trivial.
 
-Every image of such an automorphism is x^-1 core x, so ``apply``
-substitutes through the common conjugator: when every image a word uses
-is p + core + p^-1 letter for letter, the letterwise substitution
-p core_1 p^-1 p core_2 p^-1 ... is spelled p core_1 core_2 ... p^-1.
-That only cancels p^-1 p, which changes no element for any list of
-images, homomorphism or not, so every canonical word is the same as
-that of the letterwise substitution.  ``compose`` reduces each image of
-e2 substituted the same way, one reduction per generator.
+``apply`` and ``compose`` work on any image list: they substitute each
+letter's image letter by letter and reduce the substituted word once.
 
 Composition convention: compose(e1, e2) applies e2 first.
 """
@@ -94,40 +88,19 @@ def identity_endo(sys: CoxeterSystem) -> Endomorphism:
     return Endomorphism(system=sys, images=tuple((i,) for i in sys.generators))
 
 
-def _check_images(sys: CoxeterSystem, e: Endomorphism, word: Word, images: dict):
-    """Add e's checked image of each letter of ``word`` not yet in ``images``.
+def _substituted(
+    sys: CoxeterSystem, e: Endomorphism, word: Word, images: dict
+) -> list:
+    """``word`` with each letter replaced by e's image of it, letter by letter.
 
-    Letters are met in order of first occurrence, so the first bad letter
-    raised is the first one in the letterwise substituted word."""
+    e's image of a letter is checked the first time the letter occurs and
+    kept in ``images``, so the first bad letter raised is the first one in
+    the substituted word, and callers sharing ``images`` check each once."""
+    out = []
     for letter in word:
         if letter not in images:
             images[letter] = check_word(sys, e.image_of(letter))
-
-
-def _conjugator(words) -> Word:
-    """The longest p with every word equal to p + core + p^-1 letter for letter."""
-    first = words[0] if words else ()
-    k = min(map(len, words), default=0) // 2
-    for i in range(k):
-        a = first[i]
-        for w in words:
-            if w[i] != a or w[-1 - i] != a:
-                return first[:i]
-    return first[:k]
-
-
-def _substitute(images: dict, word: Word) -> list:
-    """``word`` with each letter replaced by its image, spelled p + cores + p^-1
-    when every image it uses is p + core + p^-1: the p^-1 p at each letter
-    boundary cancels freely, so this is exact for any map of the letters."""
-    letters = set(word)
-    p = _conjugator([images[a] for a in letters])
-    k = len(p)
-    cores = {a: images[a][k : len(images[a]) - k] for a in letters} if k else images
-    out = list(p)
-    for a in word:
-        out += cores[a]
-    out += reversed(p)
+        out += images[letter]
     return out
 
 
@@ -137,14 +110,12 @@ def apply(
     word: Sequence[int],
     budget: int = DEFAULT_ORBIT_BUDGET,
 ):
-    """Canonical form of the image of a word: substitute letterwise, reduce."""
+    """Canonical form of the image of a word: substitute each letter's image
+    letter by letter, then reduce the whole word once."""
     # identity first: satisfies_relations calls this once per relator
     if e.system is not sys and e.system != sys:
         raise NotAutomorphism("endomorphism belongs to a different system")
-    word = check_word(sys, word)
-    images: dict = {}
-    _check_images(sys, e, word, images)
-    return _reduce(sys, _substitute(images, word), budget)
+    return _reduce(sys, _substituted(sys, e, check_word(sys, word), {}), budget)
 
 
 def satisfies_relations(
@@ -233,21 +204,23 @@ def compose(
 ) -> Endomorphism:
     """compose(e1, e2)(w) = e1(e2(w)), one reduction per generator.
 
-    This works on any two image lists; factored automorphisms multiply
-    with ``compose_factors``, which needs one reduction per product.
+    Each image e2(g) has e1's images substituted letter by letter and is
+    then reduced once.  Every image is checked before any is reduced, so a
+    bad letter is reported ahead of a budget error.  This works on any two
+    image lists; factored automorphisms multiply with ``compose_factors``,
+    which needs one reduction per product.
     """
     if e1.system != e2.system:
         raise NotAutomorphism("cannot compose endomorphisms of different systems")
     sys = e1.system
     images: dict = {}
-    words = []
-    for g in sys.generators:
-        # e2's image first, then e1's images of its letters, as apply checks
-        words.append(check_word(sys, e2.image_of(g)))
-        _check_images(sys, e1, words[-1], images)
+    # e2's image of g first, then e1's images of its letters, as apply checks
+    words = [
+        _substituted(sys, e1, check_word(sys, e2.image_of(g)), images)
+        for g in sys.generators
+    ]
     return Endomorphism(
-        system=sys,
-        images=tuple(_reduce(sys, _substitute(images, w), budget) for w in words),
+        system=sys, images=tuple(_reduce(sys, w, budget) for w in words)
     )
 
 

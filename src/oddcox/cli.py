@@ -321,6 +321,10 @@ def cmd_rs_kernel(ns):
 def cmd_ln(ns):
     from . import pathgroups
 
+    # L_n has rank n - 1, capped like the rank of a system file
+    limit = core.MAX_FILE_RANK + 1
+    if ns.n > limit:
+        raise _UsageError(f"{ns.n} strands exceed the limit {limit}")
     orbit = _budget(ns, ORBIT_DEFAULT)
     if ns.ln_command == "build":
         sys = pathgroups.build_ln(ns.n)

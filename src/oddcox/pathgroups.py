@@ -193,8 +193,6 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
     if len(sys.neighbors(1)) == n - 1:
         # star centered at 1
         orders = [sys.m(1, i) for i in range(2, n + 1)]
-        if any(m == INFINITY for m in orders):
-            raise UnsupportedShape("star must be centered at generator 1")
         relators = tuple(tuple([g] * orders[g - 1]) for g in range(1, n))
         action = tuple((-g,) for g in range(1, n))
         names = tuple(f"a{i}" for i in range(2, n + 1))
@@ -205,10 +203,9 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
             action=action,
             names=names,
         )
-    if all(sys.m(i, i + 1) != INFINITY for i in range(1, n)) and all(
-        len(sys.neighbors(i)) <= 2 for i in sys.generators
-    ):
-        # path labeled consecutively
+    if all(sys.m(i, i + 1) != INFINITY for i in range(1, n)):
+        # a tree whose n - 1 edges are all (i, i + 1): the path labeled
+        # consecutively
         orders = [sys.m(i, i + 1) for i in range(1, n)]
         relators = tuple(tuple([g] * orders[g - 1]) for g in range(1, n))
         action = [(-1,), (-2,)]
@@ -545,13 +542,22 @@ def twisted_count(
     size = len(table)
     if size > cap:
         raise GroupTooLarge(f"group of order {size} exceeds cap {cap}")
+    for a, row in enumerate(table):
+        if len(row) != size:
+            raise BadGroupTable(f"row {a} has {len(row)} entries, expected {size}")
     if sorted(aut) != list(range(size)):
         raise NotBijectiveHom("map is not a bijection")
     for a in range(size):
         # compare whole rows; look for the failing cell only in a bad row
         row = table[a]
         target = table[aut[a]]
-        if [aut[x] for x in row] != [target[x] for x in aut]:
+        try:
+            images = [aut[x] for x in row]
+        except IndexError:
+            # rows are square and aut is onto 0..size-1, so only an entry
+            # x >= size can be out of range here
+            raise BadGroupTable(f"row {a} has an entry outside 0..{size - 1}") from None
+        if images != [target[x] for x in aut]:
             for b in range(size):
                 if aut[row[b]] != target[aut[b]]:
                     raise NotBijectiveHom(

@@ -23,7 +23,10 @@ from oddcox import (
     try_invert,
     verify_endo,
 )
+from oddcox.autkit import Endomorphism
+from oddcox.core import CoxeterSystem
 from oddcox.errors import (
+    BadLetter,
     BadThetaExponent,
     BlockViolatingPermutation,
     EndoFileError,
@@ -31,6 +34,7 @@ from oddcox.errors import (
     NoMergeWitness,
     NotAutomorphism,
     NotSurjective,
+    OrbitBudgetExceeded,
 )
 from conftest import star
 
@@ -158,6 +162,18 @@ def test_compose_inner_involution():
     s = star(3, 3)
     w1hat = inner_auto(s, (1,))
     assert compose(w1hat, w1hat).images == identity_endo(s.system).images
+
+
+def test_compose_checks_every_image_before_reducing_any():
+    path = CoxeterSystem(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3)])
+    ident = tuple((g,) for g in path.generators)
+    # e1's image of 1 needs a braid move, more than a budget of 1 allows
+    e1 = Endomorphism(system=path, images=((1, 2, 1, 2),) + ident[1:])
+    e2 = Endomorphism(system=path, images=ident[:4] + ((5, 9),))
+    with pytest.raises(BadLetter, match=r"^letter 9 out of range 1\.\.5$"):
+        compose(e1, e2, budget=1)
+    with pytest.raises(OrbitBudgetExceeded):
+        compose(e1, identity_endo(path), budget=1)
 
 
 def test_abelian_part_commutes():

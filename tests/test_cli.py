@@ -159,6 +159,23 @@ def test_ln_refuses_fewer_than_two_strands():
         assert res.lines == ["error: rank-too-small: the family starts at two strands"]
 
 
+def test_ln_refuses_more_strands_than_a_system_file_may_have():
+    from oddcox.core import MAX_FILE_RANK
+
+    n = str(MAX_FILE_RANK + 2)
+    limit = MAX_FILE_RANK + 1
+    for argv in (
+        ["ln", "pi", n, "1"],
+        ["ln", "pure", n, "1 1"],
+        ["ln", "build", n],
+        ["ln", "witness", n],
+        ["ln", "rank", n, "1"],
+    ):
+        res = run(argv)
+        assert res.exit_code == 2
+        assert res.lines == [f"usage: {n} strands exceed the limit {limit}"]
+
+
 def test_twisted_on_the_trivial_symmetric_group():
     for aut in (["identity"], ["inversion"], ["conj", "()"]):
         assert run(["twisted", "sym", "1", *aut]).lines == ["classes: 1"]

@@ -397,6 +397,16 @@ def test_twisted_rejects_element_without_inverse():
         twisted_count(table, [0, 1, 2])
 
 
+def test_twisted_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(BadGroupTable, match=r"^row 1 has 1 entries, expected 2$"):
+        twisted_count([[0, 1], [1]], [0, 1])
+
+
+def test_twisted_rejects_an_entry_outside_the_group():
+    with pytest.raises(BadGroupTable, match=r"^row 1 has an entry outside 0\.\.1$"):
+        twisted_count([[0, 1], [1, 5]], [0, 1])
+
+
 def test_twisted_rejects_loop_with_indivisible_burnside_sum():
     # an order-5 loop: identity and inverses exist but it is not associative,
     # and its fixed-point sum 19 is not a multiple of 5
