@@ -138,7 +138,8 @@ class CoxeterSystem(_Record):
     ``edges`` is the sorted tuple of (i, j, m) with i < j and m finite;
     edges given in any order or orientation are normalized to it, so two
     systems are equal exactly when their exponent matrices are.  The
-    neighbour map ``_rows`` is derived from the edges and is not a field.
+    neighbour map ``_rows`` and the key table ``_blocking`` are derived
+    from the edges and are not fields.
     """
 
     rank: int
@@ -173,8 +174,18 @@ class CoxeterSystem(_Record):
             canon.append((i, j, m))
         canon.sort()
         edges = tuple(canon)
+        # blocking[j] holds the key (i, j, m - 2) of each edge (i, j, m) with
+        # i < j: the small roots of ``words._push`` that the words module
+        # docstring's least-left-descent test looks up, one key per edge
+        lower: dict[int, list] = {}
+        for i, j, m in edges:
+            lower.setdefault(j, []).append((i, j, m - 2))
+        blocking: list[tuple] = [()] * (rank + 1)
+        for j, keys in lower.items():
+            blocking[j] = tuple(keys)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_blocking", blocking)
 
     def m(self, i: int, j: int):
         """Exponent of the pair (i, j), 1-indexed."""

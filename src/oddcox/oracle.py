@@ -41,16 +41,12 @@ def cayley_ball(
     the small-root state of s u.  Taking s in increasing order over a
     sorted layer keeps each layer sorted.
 
-    The test needs no new state.  Reading s creates alpha_s, and a simple
-    root other than alpha_s only from a root rho_k of a pair that holds s
-    (see ``words._push``): rho_1 of a pair (s, b) becomes alpha_b, with
-    b > s, and rho_(m-2) of a pair (a, s) becomes alpha_a, with a < s.
-    So s is the least left descent of s u exactly when neither s nor any
-    key (a, s, m(a, s) - 2) with a < s is in the state of u: O(degree of
-    s) lookups per candidate.  Only a word that the next layer extends
-    needs its own state, so ``words._push`` runs once per accepted word
-    shorter than the radius, never for a rejected candidate or the last
-    layer, and no word is reduced.
+    A candidate s is accepted exactly when alpha_s is not in the state of
+    u and s passes the least-left-descent test of the ``words`` module
+    docstring: O(degree of s) lookups, with no new state.  Only a word
+    that the next layer extends needs its own state, so ``words._push``
+    runs once per accepted word shorter than the radius, never for a
+    rejected candidate or the last layer, and no word is reduced.
     """
     if radius < 0:
         raise NegativeRadius(f"radius must be nonnegative, got {radius}")
@@ -65,7 +61,7 @@ def cayley_ball(
             row = neighbors(s)
             # the keys whose presence in u's state rules out s as the
             # least left descent of s u
-            blocking = (s,) + tuple((a, s, m - 2) for a, m in row.items() if a < s)
+            blocking = (s,) + sys._blocking[s]
             for u, state in frontier:
                 if not state.keys().isdisjoint(blocking):
                     continue

@@ -553,16 +553,24 @@ def twisted_count(
         target = table[aut[a]]
         try:
             images = [aut[x] for x in row]
-        except IndexError:
+        except (IndexError, TypeError):
             # rows are square and aut is onto 0..size-1, so only an entry
-            # x >= size can be out of range here
+            # x >= size or a non-integer can fail here
             raise BadGroupTable(f"row {a} has an entry outside 0..{size - 1}") from None
         if images != [target[x] for x in aut]:
             for b in range(size):
-                if aut[row[b]] != target[aut[b]]:
-                    raise NotBijectiveHom(
-                        f"map fails multiplicativity at ({a}, {b})"
-                    )
+                x, y = row[b], target[aut[b]]
+                if aut[x] == y:
+                    continue
+                # a negative x indexes aut from the end; aut[x] is never
+                # negative, so a table with a negative entry y fails the
+                # cell of that y and gets no further than this loop
+                for c, entry in ((a, x), (aut[a], y)):
+                    if entry not in range(size):
+                        raise BadGroupTable(
+                            f"row {c} has an entry outside 0..{size - 1}"
+                        )
+                raise NotBijectiveHom(f"map fails multiplicativity at ({a}, {b})")
     _inverses_of(table)  # refuses a table without identity or inverses
     fixed = sum(
         sum(map(eq, table[g], map(itemgetter(aut[g]), table))) for g in range(size)

@@ -23,6 +23,30 @@ lexicographically least.  ``_reduce`` computes it in two steps:
    state is the least left descent, which starts the ShortLex-least
    spelling: emit s, delete its tagged letter (leaving a reduced word for
    s w) and read the letters after it again, until nothing is left.
+   While it reads, the loop certifies a canonical suffix by the test
+   below.  When nothing is left to read and the whole reduced word is
+   certified, the loop emits it as it stands and stops.  Each letter so
+   skipped would have been emitted in front, as the ShortLex-least
+   spelling of a canonical x u is x followed by u.  Such an emission
+   deletes its own letter, re-reads nothing and counts no budget step,
+   so stopping changes neither the output nor the steps.
+
+The least-left-descent test.  Let u be a reduced word with state S, and
+x a letter that is not a left descent of u (alpha_x is not in S).
+Reading x creates alpha_x, and a simple root other than alpha_x only
+from a root rho_k of a pair that holds x (see ``_push``): rho_1 of a pair
+(x, b) becomes alpha_b, with b > x, and rho_(m-2) of a pair (a, x)
+becomes alpha_a, with a < x.  So x is the least left descent of x u
+exactly when no key (a, x, m(a, x) - 2) with a < x is in S.  The system
+holds these keys, one per edge, in ``CoxeterSystem._blocking``, so the
+test costs O(degree of x) lookups.  The ShortLex-least spelling starts
+with the least left descent, so when u is canonical, x u is canonical
+exactly when x passes; and every suffix of a canonical word is
+canonical.  So the loop keeps c, the length of the longest canonical
+suffix of the reduced word read (its first c letters read): a letter
+read at index c raises c by one when it passes the test, and an exchange
+or re-read that truncates the word below c lowers c to the new length.
+``oracle.cayley_ball`` enumerates canonical words by the same test.
 
 Every exponent is odd, so at least 3, and the small roots are exactly the
 simple roots and the positive roots of the finite rank-2 parabolics
@@ -106,7 +130,7 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
     counting as the first, or 0 steps when no alternating run of m
     letters remains.
     """
-    neighbors = sys.neighbors
+    rows = sys._rows
     # two sentinel letters: 0 equals no letter and has no finite exponent
     out = [0, 0]
     runs = [0, 0]  # runs[i]: the alternating run ending at out[i]
@@ -126,7 +150,7 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
                 z, y, run = y, x, 2
             else:
                 run += 1
-                m = neighbors(x).get(y, run + 1)  # a missing pair has m = infinity
+                m = rows[x].get(y, run + 1)  # a missing pair has m = infinity
                 if run > m:
                     # (a b ...)_(m+1) = (b a ...)_(m-1): drop the run's first
                     # letter and x, and re-read the rest after the new neighbour
@@ -197,22 +221,32 @@ def _reduce(sys: CoxeterSystem, word: Sequence[int], budget: int) -> Word:
     pending, steps = _stack_pass(sys, word, budget)
     if not steps:  # no run of m letters is left: the word is canonical
         return tuple(pending)
-    neighbors = sys.neighbors
+    rows = sys._rows
+    blocking = sys._blocking
     # the reduced word read so far, rightmost letter first; states[k] is
-    # the small-root state after reduced[:k]
+    # the small-root state after reduced[:k], and reversed(reduced[:canon])
+    # is its longest canonical suffix
     reduced: list[int] = []
     states: list[dict] = [{}]
+    canon = 0
     out = []
-    while pending or reduced:
+    while True:
         state = states[-1]
         if pending:
             x = pending.pop()
             tag = state.get(x)
             if tag is None:
-                states.append(_push(neighbors(x), state, x, len(reduced)))
+                index = len(reduced)
+                if index == canon and state.keys().isdisjoint(blocking[x]):
+                    canon += 1  # x is the least left descent of x u
+                states.append(_push(rows[x], state, x, index))
                 reduced.append(x)
                 continue
             # x is a left descent: it cancels against the letter at tag
+        elif len(reduced) == canon:
+            # all certified: each letter left would be emitted in front
+            out.extend(reversed(reduced))
+            return tuple(out)
         else:
             # emit the least left descent and delete the letter at its tag
             x = min(key for key in state if type(key) is int)
@@ -228,7 +262,7 @@ def _reduce(sys: CoxeterSystem, word: Sequence[int], budget: int) -> Word:
         pending.extend(reduced[:tag:-1])
         del reduced[tag:]
         del states[tag + 1 :]
-    return tuple(out)
+        canon = min(canon, tag)
 
 
 def reduce_word(

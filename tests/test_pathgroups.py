@@ -407,6 +407,27 @@ def test_twisted_rejects_an_entry_outside_the_group():
         twisted_count([[0, 1], [1, 5]], [0, 1])
 
 
+@pytest.mark.parametrize(
+    "table, aut, row",
+    [
+        ([[0, 1], [1, 0.5]], [0, 1], 1),
+        # a negative entry would index from the end of a list
+        ([[0, 1], [1, -1]], [0, 1], 1),
+        # Z/3 under inversion with 1 + 1 spelled -1: row 1 passes as it is
+        # read, and the -1 is caught as the image entry of cell (2, 2)
+        ([[0, 1, 2], [1, -1, 0], [2, 0, 1]], [0, 2, 1], 1),
+        # the non-integer is met as an image entry before its own row
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 0.5]], [0, 2, 1], 2),
+    ],
+)
+def test_twisted_rejects_a_negative_or_non_integer_entry(table, aut, row):
+    size = len(table)
+    with pytest.raises(
+        BadGroupTable, match=rf"^row {row} has an entry outside 0\.\.{size - 1}$"
+    ):
+        twisted_count(table, aut)
+
+
 def test_twisted_rejects_loop_with_indivisible_burnside_sum():
     # an order-5 loop: identity and inverses exist but it is not associative,
     # and its fixed-point sum 19 is not a multiple of 5
