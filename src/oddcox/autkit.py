@@ -31,6 +31,16 @@ image-level composition.  ``outer_key`` names the outer class of f, and
 
 ``apply`` and ``compose`` work on any image list: they substitute each
 letter's image letter by letter and reduce the substituted word once.
+``satisfies_relations`` (and so ``verify_endo``) tests each relator on a
+short conjugate instead of reducing a word 2m images long.  For a
+generator s, (s w s)^k = s w^k s, so w^k = 1 exactly when the word u left
+after taking equal end letters off w pairwise has u^k = 1.  It strips each
+image for the relator (g g), and the canonical form of e(i) e(j) for the
+edge relator (i j)^m.  A stripped canonical word is reduced, so on one or
+two letters it alternates and its order is that of a dihedral element:
+2 at odd length, and m(a, b) / gcd(k, m(a, b)) at length 2k, or infinite
+when m(a, b) is.  Only on three or more letters is u^m reduced.
+``recompose`` with an empty inner word returns the cores as they stand.
 
 Composition convention: compose(e1, e2) applies e2 first.
 """
@@ -41,7 +51,7 @@ import json
 import math
 from typing import Sequence
 
-from .core import CoxeterSystem, StarForm, _Record, merge_generators
+from .core import INFINITY, CoxeterSystem, StarForm, _Record, merge_generators
 from .errors import (
     BadThetaExponent,
     BlockViolatingPermutation,
@@ -112,17 +122,76 @@ def apply(
 ):
     """Canonical form of the image of a word: substitute each letter's image
     letter by letter, then reduce the whole word once."""
-    # identity first: satisfies_relations calls this once per relator
+    _check_system(sys, e)
+    return _reduce(sys, _substituted(sys, e, check_word(sys, word), {}), budget)
+
+
+def _check_system(sys: CoxeterSystem, e: Endomorphism) -> None:
+    # identity first: equality compares every edge
     if e.system is not sys and e.system != sys:
         raise NotAutomorphism("endomorphism belongs to a different system")
-    return _reduce(sys, _substituted(sys, e, check_word(sys, word), {}), budget)
+
+
+def _strip(word: Sequence[int]) -> Sequence[int]:
+    """``word`` without its equal end letters, taken off pairwise: s w s
+    becomes w, its conjugate by the involution s."""
+    lo, hi = 0, len(word) - 1
+    while lo < hi and word[lo] == word[hi]:
+        lo, hi = lo + 1, hi - 1
+    return word[lo : hi + 1]
+
+
+def _power_is_trivial(sys: CoxeterSystem, u: Word, m: int, budget: int) -> bool:
+    """Is u^m = 1, for u a factor of a reduced word?  On one or two
+    letters by the order of u in the dihedral parabolic on them (see
+    ``satisfies_relations``), else by reducing u^m."""
+    if not u:
+        return True
+    letters = set(u)
+    if len(letters) > 2:
+        return _reduce(sys, u * m, budget) == ()
+    if len(u) % 2:
+        return m % 2 == 0
+    a, b = letters
+    mab = sys.m(a, b)
+    if mab == INFINITY:
+        return False
+    return m % (mab // math.gcd(len(u) // 2, mab)) == 0
 
 
 def satisfies_relations(
     sys: CoxeterSystem, e: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> bool:
-    """Do the images satisfy every defining relation of the system?"""
-    return all(apply(sys, e, r, budget) == () for r in sys.relators())
+    """Do the images satisfy every defining relation of the system?
+
+    Each relator is tested on a short conjugate.  For a generator s,
+    (s w s)^k = s w^k s, so taking equal end letters off a word pairwise
+    (``_strip``) keeps whether its k-th power is 1.  So (g g) holds when
+    the stripped image u of g has u u = 1, and the edge relator (i j)^m
+    holds when u^m = 1 for the stripped canonical form u of e(i) e(j).
+    That u is a factor of a reduced word, so it is reduced, and on one or
+    two letters it alternates and lies in the dihedral parabolic on them,
+    where its order has a closed form: of odd length u is a reflection, of
+    order 2; of length 2k it is a rotation, of order
+    m(a, b) / gcd(k, m(a, b)), or of infinite order when m(a, b) is
+    infinite.  Only a u on three or more letters has u^m reduced.
+
+    The relators go in the order of ``relators()``, each image checked
+    where it first occurs, so the first bad letter raised and the first
+    failing relator are those of substituting into every relator.
+    """
+    _check_system(sys, e)
+    images: dict = {}
+    for g in sys.generators:
+        u = _strip(_substituted(sys, e, (g,), images))
+        if _reduce(sys, u + u, budget) != ():
+            return False
+    return all(
+        _power_is_trivial(
+            sys, _strip(_reduce(sys, images[i] + images[j], budget)), m, budget
+        )
+        for i, j, m in sys.edges
+    )
 
 
 def verify_endo(
@@ -289,6 +358,11 @@ def recompose(
 ) -> Endomorphism:
     sys = star.system
     f = _checked(star, f)
+    if not f.inner:
+        # a core is canonical already: reducing it would take no step
+        return Endomorphism(
+            system=sys, images=tuple(_core(star, f, g) for g in sys.generators)
+        )
     return Endomorphism(
         system=sys,
         images=tuple(

@@ -545,6 +545,10 @@ def twisted_count(
     for a, row in enumerate(table):
         if len(row) != size:
             raise BadGroupTable(f"row {a} has {len(row)} entries, expected {size}")
+    for x in aut:
+        # as in check_word: an int subclass passes, a bool does not
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise NotBijectiveHom(f"map entry {x!r} is not an integer")
     if sorted(aut) != list(range(size)):
         raise NotBijectiveHom("map is not a bijection")
     for a in range(size):

@@ -428,6 +428,35 @@ def test_twisted_rejects_a_negative_or_non_integer_entry(table, aut, row):
         twisted_count(table, aut)
 
 
+@pytest.mark.parametrize(
+    "aut, shown",
+    [
+        # a float equal to an integer passes the bijection test as that integer
+        ([0.0, 1], "0.0"),
+        ([1, 0.0], "0.0"),
+        # a bool is an int to Python, and True == 1
+        ([0, True], "True"),
+        (["0", 1], "'0'"),
+        ([None, 1], "None"),
+    ],
+)
+def test_twisted_refuses_a_map_entry_that_is_not_an_integer(aut, shown):
+    with pytest.raises(NotBijectiveHom, match=rf"^map entry {shown} is not an integer$"):
+        twisted_count([[0, 1], [1, 0]], aut)
+
+
+def test_twisted_refuses_a_non_integer_map_entry_before_a_non_bijection():
+    with pytest.raises(NotBijectiveHom, match=r"^map entry 2\.0 is not an integer$"):
+        twisted_count([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [0, 0, 2.0])
+
+
+def test_twisted_accepts_an_int_subclass_map_entry():
+    class Index(int):
+        pass
+
+    assert twisted_count([[0, 1], [1, 0]], [Index(0), Index(1)]) == 2
+
+
 def test_twisted_rejects_loop_with_indivisible_burnside_sum():
     # an order-5 loop: identity and inverses exist but it is not associative,
     # and its fixed-point sum 19 is not a multiple of 5

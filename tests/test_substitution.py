@@ -1,7 +1,7 @@
 """``apply``, ``compose`` and ``satisfies_relations`` against a reference
-that substitutes letter by letter and then reduces the whole word with
-``reduce_word``, as the library did before it factored the common
-conjugator out of the images."""
+that substitutes each letter's image into the whole word (for
+``satisfies_relations``, into every relator) and reduces it with
+``reduce_word``."""
 
 import math
 
