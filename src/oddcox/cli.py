@@ -11,12 +11,12 @@ import argparse
 import json
 import sys as _sys
 
-# each handler imports the autkit, units, pathgroups or oracle it runs, so a
-# process loads only the modules of its own command
+# handlers read autkit, units, pathgroups and oracle off the package, which
+# imports each on first use, so a process loads only its own command's modules
+import oddcox
+
 from . import core, words
 from .errors import OddCoxeterError, SystemFileError
-
-ORBIT_DEFAULT = words.DEFAULT_ORBIT_BUDGET
 
 
 class CommandResult(core._Record, frozen=False):
@@ -44,14 +44,15 @@ def _load_star(path: str) -> core.StarForm:
     return core.star_form(_load_system(path))
 
 
-def _budget(ns, default: int) -> int:
+def _load_endo(ns):
+    """The star ``ns.system`` and the endomorphism file ``ns.endo`` on it."""
+    star = _load_star(ns.system)
+    return star, oddcox.autkit.endo_from_json(star.system, _read(ns.endo))
+
+
+def _budget(ns, default: int = words.DEFAULT_ORBIT_BUDGET) -> int:
     """The ``--budget`` value, or ``default`` when none is given."""
-    budget = getattr(ns, "budget", None)
-    return default if budget is None else budget
-
-
-def ns_format(ns):
-    return getattr(ns, "format", None) or "text"
+    return default if ns.budget is None else ns.budget
 
 
 def _fact_lines(facts) -> list:
@@ -81,15 +82,26 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _word_facts(w) -> list:
+    return [("_word", words.format_word(w)), ("length", len(w))]
+
+
+def _edge_facts(sys) -> list:
+    return [("edge", f"{i} {j} {m}") for i, j, m in sys.finite_pairs()]
+
+
+def _image_facts(endo) -> list:
+    return [
+        (f"image_{g}", words.format_word(w)) for g, w in enumerate(endo.images, 1)
+    ]
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_validate(ns):
     sys = _load_system(ns.system)
-    facts = [("valid", "true"), ("rank", sys.rank)]
-    for i, j, m in sys.finite_pairs():
-        facts.append(("edge", f"{i} {j} {m}"))
-    return facts
+    return [("valid", "true"), ("rank", sys.rank), *_edge_facts(sys)]
 
 
 def cmd_classify(ns):
@@ -132,35 +144,25 @@ def cmd_iso(ns):
 
 def cmd_reduce(ns):
     sys = _load_system(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    canon = words.reduce_word(sys, words.parse_word(ns.word), orbit)
-    return [("_word", words.format_word(canon)), ("length", len(canon))]
+    return _word_facts(words.reduce_word(sys, words.parse_word(ns.word), _budget(ns)))
 
 
 def cmd_equal(ns):
     sys = _load_system(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    result = words.equal(
-        sys, words.parse_word(ns.word_w), words.parse_word(ns.word_v), orbit
-    )
-    return [("equal", _bool(result))]
+    w, v = words.parse_word(ns.word_w), words.parse_word(ns.word_v)
+    return [("equal", _bool(words.equal(sys, w, v, _budget(ns))))]
 
 
 def cmd_multiply(ns):
     sys = _load_system(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    canon = words.multiply(
-        sys, words.parse_word(ns.word_w), words.parse_word(ns.word_v), orbit
-    )
-    return [("_word", words.format_word(canon)), ("length", len(canon))]
+    w, v = words.parse_word(ns.word_w), words.parse_word(ns.word_v)
+    return _word_facts(words.multiply(sys, w, v, _budget(ns)))
 
 
 def cmd_ball(ns):
-    from . import oracle
-
     sys = _load_system(ns.system)
-    ball_budget = _budget(ns, oracle.DEFAULT_BALL_BUDGET)
-    ball = oracle.cayley_ball(sys, ns.radius, ball_budget)
+    ball_budget = _budget(ns, oddcox.oracle.DEFAULT_BALL_BUDGET)
+    ball = oddcox.oracle.cayley_ball(sys, ns.radius, ball_budget)
     facts = [("size", len(ball.elements))]
     for w in ball.elements:
         facts.append(("element", words.format_word(w)))
@@ -168,18 +170,15 @@ def cmd_ball(ns):
 
 
 def cmd_search(ns):
-    from . import oracle
-
     sys = _load_system(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    ball_budget = _budget(ns, oracle.DEFAULT_BALL_BUDGET)
     if ns.kind == "conjugator" and ns.word_b is None:
         raise _UsageError("conjugator search needs a target word")
     a = words.parse_word(ns.word_a)
     b = words.parse_word(ns.word_b) if ns.kind == "conjugator" else None
-    hits = oracle.ball_search(
+    hits = oddcox.oracle.ball_search(
         sys, ns.kind, a, b, radius=ns.radius,
-        ball_budget=ball_budget, orbit_budget=orbit,
+        ball_budget=_budget(ns, oddcox.oracle.DEFAULT_BALL_BUDGET),
+        orbit_budget=_budget(ns),
     )
     facts = [("count", len(hits))]
     for w in hits:
@@ -188,50 +187,30 @@ def cmd_search(ns):
 
 
 def cmd_aut_verify(ns):
-    from . import autkit
-
-    star = _load_star(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    endo = autkit.endo_from_json(star.system, _read(ns.endo))
-    return [("verified", _bool(autkit.verify_endo(star, endo, orbit)))]
+    star, endo = _load_endo(ns)
+    return [("verified", _bool(oddcox.autkit.verify_endo(star, endo, _budget(ns))))]
 
 
 def cmd_aut_factorize(ns):
-    from . import autkit
-
-    star = _load_star(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    endo = autkit.endo_from_json(star.system, _read(ns.endo))
-    f = autkit.factorize(star, endo, orbit)
+    star, endo = _load_endo(ns)
+    f = oddcox.autkit.factorize(star, endo, _budget(ns))
     return [
         ("inner", words.format_word(f.inner)),
         ("perm", core.cycle_notation((1, *f.perm))),
         ("cvec", " ".join(str(k) for k in f.cvec)),
-        ("is_inner", _bool(autkit.is_inner(star, f))),
+        ("is_inner", _bool(oddcox.autkit.is_inner(star, f))),
     ]
 
 
 def cmd_aut_invert(ns):
-    from . import autkit
-
-    star = _load_star(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    endo = autkit.endo_from_json(star.system, _read(ns.endo))
-    inverse = autkit.try_invert(star, endo, orbit)
-    facts = []
-    for g in star.system.generators:
-        facts.append((f"image_{g}", words.format_word(inverse.image_of(g))))
-    return facts
+    star, endo = _load_endo(ns)
+    return _image_facts(oddcox.autkit.try_invert(star, endo, _budget(ns)))
 
 
 def cmd_aut_witness(ns):
-    from . import autkit
-
-    star = _load_star(ns.system)
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    endo = autkit.endo_from_json(star.system, _read(ns.endo))
-    f = autkit.factorize(star, endo, orbit)
-    w = autkit.normality_witness(star, f, orbit)
+    star, endo = _load_endo(ns)
+    f = oddcox.autkit.factorize(star, endo, _budget(ns))
+    w = oddcox.autkit.normality_witness(star, f, _budget(ns))
     return [
         ("g", words.format_word(w.g)),
         ("merge", f"{w.merge[0]} {w.merge[1]}"),
@@ -241,10 +220,7 @@ def cmd_aut_witness(ns):
 
 
 def cmd_out(ns):
-    from . import units
-
-    star = _load_star(ns.system)
-    d = units.out_descriptor(star)
+    d = oddcox.units.out_descriptor(_load_star(ns.system))
     facts = [
         ("out_order", d.out_order),
         ("c_shape", " ".join(f"{m}^{k}" for m, k in d.c_shape)),
@@ -260,10 +236,7 @@ def cmd_out(ns):
 
 
 def cmd_split(ns):
-    from . import units
-
-    star = _load_star(ns.system)
-    d = units.split_inn_c(star)
+    d = oddcox.units.split_inn_c(_load_star(ns.system))
     if d is None:
         return [("splits", "false")]
     facts = [("splits", "true"), ("order", d.order)]
@@ -273,10 +246,7 @@ def cmd_split(ns):
 
 
 def cmd_commutator(ns):
-    from . import pathgroups
-
-    sys = _load_system(ns.system)
-    c = pathgroups.commutator_presentation(sys)
+    c = oddcox.pathgroups.commutator_presentation(_load_system(ns.system))
     facts = [
         ("kind", c.kind),
         ("generators", " ".join(c.names)),
@@ -292,8 +262,6 @@ def cmd_commutator(ns):
 
 
 def cmd_rs_kernel(ns):
-    from . import pathgroups
-
     sys = _load_system(ns.system)
     try:
         data = json.loads(_read(ns.hom))
@@ -307,6 +275,7 @@ def cmd_rs_kernel(ns):
     texts = data["images"]
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise SystemFileError("'images' must be an array of cycle strings")
+    pathgroups = oddcox.pathgroups
     images = [pathgroups.parse_cycles(text, degree) for text in texts]
     pres = pathgroups.rs_kernel(sys, images)
     facts = [
@@ -319,43 +288,31 @@ def cmd_rs_kernel(ns):
 
 
 def cmd_ln(ns):
-    from . import pathgroups
-
     # L_n has rank n - 1, capped like the rank of a system file
     limit = core.MAX_FILE_RANK + 1
     if ns.n > limit:
         raise _UsageError(f"{ns.n} strands exceed the limit {limit}")
-    orbit = _budget(ns, ORBIT_DEFAULT)
-    if ns.ln_command == "build":
-        sys = pathgroups.build_ln(ns.n)
-        facts = [("rank", sys.rank)]
-        for i, j, m in sys.finite_pairs():
-            facts.append(("edge", f"{i} {j} {m}"))
-        facts.append(("system", core.system_to_json(sys)))
-        return facts
+    pathgroups = oddcox.pathgroups
     if ns.ln_command == "pi":
         perm = pathgroups.pi_image(ns.n, words.parse_word(ns.word))
         return [("_perm", pathgroups.format_cycles(perm))]
     if ns.ln_command == "pure":
         return [("pure", _bool(pathgroups.is_pure(ns.n, words.parse_word(ns.word))))]
     if ns.ln_command == "witness":
-        w = pathgroups.pl_witness(ns.n, orbit)
-        facts = [
+        w = pathgroups.pl_witness(ns.n, _budget(ns))
+        return [
             ("g", words.format_word(w.g)),
             ("image", pathgroups.format_cycles(w.image)),
+            *_image_facts(w.endo),
         ]
-        for g in w.endo.system.generators:
-            facts.append((f"image_{g}", words.format_word(w.endo.image_of(g))))
-        return facts
     if ns.ln_command == "rank":
-        sys = pathgroups.build_ln(ns.n)
-        return [("rank", pathgroups.free_rank(sys, ns.index))]
-    raise SystemFileError(f"unknown ln subcommand {ns.ln_command!r}")
+        return [("rank", pathgroups.free_rank(pathgroups.build_ln(ns.n), ns.index))]
+    sys = pathgroups.build_ln(ns.n)
+    return [("rank", sys.rank), *_edge_facts(sys), ("system", core.system_to_json(sys))]
 
 
 def cmd_twisted(ns):
-    from . import pathgroups
-
+    pathgroups = oddcox.pathgroups
     cap = pathgroups.DEFAULT_GROUP_CAP
     if ns.family == "sym":
         elements, table = pathgroups.symmetric_group_table(ns.n)
@@ -468,17 +425,14 @@ def execute(argv) -> CommandResult:
     except _UsageError as err:
         return CommandResult(2, [f"usage: {err}"])
     except OddCoxeterError as err:
-        if err.slug == "budget":
-            line = "error: budget"
+        if ns.format == "json":
+            line = json.dumps({"error": err.slug, "detail": str(err)})
         else:
-            detail = str(err)
+            detail = "" if err.slug == "budget" else str(err)
             line = f"error: {err.slug}" + (f": {detail}" if detail else "")
-        if ns_format(ns) == "json":
-            return CommandResult(1, [json.dumps({"error": err.slug, "detail": str(err)})])
         return CommandResult(1, [line])
-    if ns_format(ns) == "json":
-        return CommandResult(0, _fact_json(facts))
-    return CommandResult(0, _fact_lines(facts))
+    render = _fact_json if ns.format == "json" else _fact_lines
+    return CommandResult(0, render(facts))
 
 
 def main() -> None:

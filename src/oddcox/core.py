@@ -36,6 +36,7 @@ from .errors import (
     NotInTW,
     NotStarForm,
     NotSymmetric,
+    OutputTooLarge,
     SystemFileError,
 )
 
@@ -263,7 +264,17 @@ def diagram_v(sys: CoxeterSystem) -> DiagramV:
     )
 
 
+# Gamma has an edge for every pair, n(n - 1)/2 at rank n: capped at rank 1000
+MAX_GAMMA_EDGES = 5 * 10**5
+
+
 def diagram_gamma(sys: CoxeterSystem) -> DiagramGamma:
+    pairs = sys.rank * (sys.rank - 1) // 2
+    if pairs > MAX_GAMMA_EDGES:
+        raise OutputTooLarge(
+            f"diagram Gamma of rank {sys.rank} has {pairs} edges, "
+            f"over the cap {MAX_GAMMA_EDGES}"
+        )
     edges = []
     for i in range(1, sys.rank + 1):
         for j in range(i + 1, sys.rank + 1):

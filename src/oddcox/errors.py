@@ -15,6 +15,12 @@ class CertificateFailed(OddCoxeterError):
     slug = "certificate-failed"
 
 
+class OutputTooLarge(OddCoxeterError):
+    """The answer would exceed its size cap; nothing is built."""
+
+    slug = "output-too-large"
+
+
 # system validation
 class NotSymmetric(OddCoxeterError):
     slug = "not-symmetric"

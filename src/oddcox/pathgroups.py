@@ -46,6 +46,7 @@ from .errors import (
     NotAHomomorphism,
     NotBijectiveHom,
     NotInTW,
+    OutputTooLarge,
     RankTooSmall,
     UnsupportedShape,
 )
@@ -57,6 +58,9 @@ if TYPE_CHECKING:  # autkit loads only when pl_witness runs
 DEFAULT_IMAGE_CAP = 10**5
 # group tables are |G| x |G|, so this cap keeps one to 4 million cells
 DEFAULT_GROUP_CAP = 2000
+# the path action spells x_j in 2(j - 2) + 1 letters, (n - 3)(n - 1) + 2 in all
+# at rank n: capped at rank 1001
+MAX_ACTION_LETTERS = 10**6
 
 
 class Permutation(_Record):
@@ -206,6 +210,12 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
     if all(sys.m(i, i + 1) != INFINITY for i in range(1, n)):
         # a tree whose n - 1 edges are all (i, i + 1): the path labeled
         # consecutively
+        letters = (n - 3) * (n - 1) + 2
+        if letters > MAX_ACTION_LETTERS:
+            raise OutputTooLarge(
+                f"the path action at rank {n} has {letters} letters, "
+                f"over the cap {MAX_ACTION_LETTERS}"
+            )
         orders = [sys.m(i, i + 1) for i in range(1, n)]
         relators = tuple(tuple([g] * orders[g - 1]) for g in range(1, n))
         action = [(-1,), (-2,)]

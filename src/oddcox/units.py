@@ -214,13 +214,7 @@ def out_descriptor(star: StarForm) -> OutDescriptor:
         k == 1 and _qualifying_prime(m) is not None for m, k in shape
     )
     note = None
-    if all(m == 3 for m, _ in shape) and star.rank >= 3:
-        note = (
-            "all finite exponents equal 3: for this family the "
-            "inner-by-outer extension is known to split even though the "
-            "multiplicity-one criterion is silent"
-        )
-    elif splits and not guaranteed:
+    if splits and not guaranteed:
         note = (
             "splitting of the full automorphism extension is not settled "
             "by the multiplicity-one criterion for this exponent multiset"

@@ -195,3 +195,18 @@ def test_out_order_formula_invariant():
         for v in d.out_abelian:
             quotient_order *= v
         assert quotient_order == c_order(s) // 2
+
+
+def test_out_descriptor_all_three_note_claims_only_the_criterion():
+    # nothing checks that the all-3 family splits, so an all-3 star gets the
+    # note of any star whose exponents the multiplicity-one criterion misses
+    other = out_descriptor(star(3, 3, 5, 5))
+    assert other.note == (
+        "splitting of the full automorphism extension is not settled by the "
+        "multiplicity-one criterion for this exponent multiset"
+    )
+    for leaves in (2, 3, 5):
+        d = out_descriptor(star(*[3] * leaves))
+        assert d.inn_c_splits is True
+        assert d.aut_out_split_guaranteed is False
+        assert d.note == other.note
