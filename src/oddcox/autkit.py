@@ -211,16 +211,14 @@ def inner_auto(
     return recompose(star, f, budget)
 
 
-def theta_auto(
-    star: StarForm, i: int, k: int, budget: int = DEFAULT_ORBIT_BUDGET
-) -> Endomorphism:
+def theta_auto(star: StarForm, i: int, k: int) -> Endomorphism:
     """Reflection-rescaling map fixing all generators but leaf i,
     which is sent to w_1 (w_1 w_i)^k; requires gcd(k, t_i) = 1."""
     if i not in star.leaves:
         raise BadThetaExponent(f"{i} is not a leaf")
     cvec = [1] * (star.rank - 1)
     cvec[i - 2] = k
-    return theta_product(star, cvec, budget)
+    return theta_product(star, cvec)
 
 
 def _normalize_perm(star: StarForm, perm) -> tuple:
@@ -246,13 +244,10 @@ def graph_auto(star: StarForm, perm) -> Endomorphism:
     return recompose(star, AutFactorization(inner=(), cvec=ones, perm=perm))
 
 
-def theta_product(
-    star: StarForm, cvec: Sequence[int], budget: int = DEFAULT_ORBIT_BUDGET
-) -> Endomorphism:
+def theta_product(star: StarForm, cvec: Sequence[int]) -> Endomorphism:
     """Product of leaf maps with the given exponents, ascending leaf order."""
     identity = tuple(star.leaves)
-    f = AutFactorization(inner=(), cvec=tuple(cvec), perm=identity)
-    return recompose(star, f, budget)
+    return recompose(star, AutFactorization(inner=(), cvec=tuple(cvec), perm=identity))
 
 
 def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
@@ -641,4 +636,5 @@ def endo_from_json(sys: CoxeterSystem, text: str) -> Endomorphism:
                 raise EndoFileError(
                     f"images[{idx}]: letter {letter} out of range 1..{sys.rank}"
                 )
-    return make_endo(sys, [tuple(w) for w in images])
+    # every letter is checked above, so the words are the images as they stand
+    return Endomorphism(system=sys, images=tuple(map(tuple, images)))

@@ -360,8 +360,9 @@ def _star_system(ts: Sequence[int]) -> CoxeterSystem:
     return CoxeterSystem(len(ts) + 1, ((1, leaf, t) for leaf, t in enumerate(ts, 2)))
 
 
-def _star_form_from_ts(ts: Sequence[int]) -> StarForm:
-    ts = tuple(ts)
+def _star_form(system: CoxeterSystem, ts: tuple) -> StarForm:
+    """The star form of ``system``, the star with leaf labels ``ts``: the
+    labels are grouped into blocks in one pass, and no system is rebuilt."""
     distinct: list[int] = []
     blocks: list[list[int]] = []
     for leaf, t in enumerate(ts, 2):
@@ -371,7 +372,7 @@ def _star_form_from_ts(ts: Sequence[int]) -> StarForm:
             distinct.append(t)
             blocks.append([leaf])
     return StarForm(
-        system=_star_system(ts),
+        system=system,
         t=ts,
         distinct=tuple(distinct),
         multiplicities=tuple(len(block) for block in blocks),
@@ -390,7 +391,8 @@ def canonical_star(inv: SystemInvariant) -> StarForm:
     for m in inv.finite_exponents:
         if not _is_valid_exponent(m) or m == INFINITY:
             raise MalformedInvariant(f"bad exponent {m}")
-    return _star_form_from_ts(sorted(inv.finite_exponents))
+    ts = tuple(sorted(inv.finite_exponents))
+    return _star_form(_star_system(ts), ts)
 
 
 def star_form(sys: CoxeterSystem) -> StarForm:
@@ -407,9 +409,9 @@ def star_form(sys: CoxeterSystem) -> StarForm:
     for i, j, _ in sys.edges:
         if i != 1:
             raise NotStarForm(f"pair ({i}, {j}) must be unbounded in a star")
-    if list(ts) != sorted(ts):
+    if ts != sorted(ts):
         raise NotStarForm("leaf exponents must be ascending")
-    return _star_form_from_ts(ts)
+    return _star_form(sys, tuple(ts))
 
 
 def path_system(labels: Sequence[int]) -> CoxeterSystem:
@@ -429,30 +431,20 @@ def merge_generators(star: StarForm, i: int, j: int):
     n = star.rank
     if i == j or not (1 <= i <= n) or not (1 <= j <= n):
         raise NotAdjacentPair(f"cannot merge generator pair ({i}, {j})")
-    mapping = [0] * n
-    mapping[0] = 1
-    merged_tag = None
-    if 1 in (i, j):
-        leaf = j if i == 1 else i
-        entries = sorted((star.t_of(u), u) for u in star.leaves if u != leaf)
-        mapping[leaf - 1] = 1
-    else:
-        d = math.gcd(star.t_of(i), star.t_of(j))
-        entries = sorted((star.t_of(u), u) for u in star.leaves if u not in (i, j))
-        if d > 1:
-            merged_tag = min(i, j)
-            entries = sorted(entries + [(d, merged_tag)])
-        else:
-            mapping[i - 1] = 1
-            mapping[j - 1] = 1
-    for pos, (_, tag) in enumerate(entries):
-        new_index = pos + 2
-        if tag == merged_tag:
-            mapping[i - 1] = new_index
-            mapping[j - 1] = new_index
-        else:
-            mapping[tag - 1] = new_index
-    return _star_system([t for t, _ in entries]), tuple(mapping)
+    # one (label, leaf) row per leaf of the quotient, in the quotient's leaf
+    # order 2, 3, ...: the surviving leaves, and two merged leaves whose gcd
+    # is above 1 under the smaller index
+    rows = [(star.t_of(u), u) for u in star.leaves if u != i and u != j]
+    if i != 1 and j != 1 and (d := math.gcd(star.t_of(i), star.t_of(j))) > 1:
+        rows.append((d, min(i, j)))
+    rows.sort()
+    # the center, and a merged letter without a row, go to the center; the
+    # larger merged letter goes where the smaller one does
+    mapping = [1] * n
+    for new, (_, u) in enumerate(rows, 2):
+        mapping[u - 1] = new
+    mapping[max(i, j) - 1] = mapping[min(i, j) - 1]
+    return _star_system([t for t, _ in rows]), tuple(mapping)
 
 
 def cycle_notation(images: Sequence[int]) -> str:

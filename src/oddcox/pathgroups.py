@@ -59,8 +59,12 @@ DEFAULT_IMAGE_CAP = 10**5
 # group tables are |G| x |G|, so this cap keeps one to 4 million cells
 DEFAULT_GROUP_CAP = 2000
 # the path action spells x_j in 2(j - 2) + 1 letters, (n - 3)(n - 1) + 2 in all
-# at rank n: capped at rank 1001
+# at rank n: capped at rank 1001; the same cap bounds the commutator relators,
+# each spelled m times its letter, whose labels a system file does not bound
 MAX_ACTION_LETTERS = 10**6
+# rs_kernel rewrites every defining relator, 2 rank + 2 (sum of labels)
+# letters, over every coset: L_8 needs 40320 x 50 = 2016000 letters
+MAX_REWRITTEN_LETTERS = 4 * 10**6
 
 
 class Permutation(_Record):
@@ -194,20 +198,15 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
     if not classify(sys).in_tw:
         raise NotInTW("system is not an odd connected tree of rank >= 2")
     n = sys.rank
+    # the shape picks the chosen generator, the orders, the names and the
+    # action; the relators and the record are the same for both shapes
     if len(sys.neighbors(1)) == n - 1:
         # star centered at 1
+        kind, chosen = "star", 1
         orders = [sys.m(1, i) for i in range(2, n + 1)]
-        relators = tuple(tuple([g] * orders[g - 1]) for g in range(1, n))
-        action = tuple((-g,) for g in range(1, n))
         names = tuple(f"a{i}" for i in range(2, n + 1))
-        return CommutatorStructure(
-            kind="star",
-            presentation=FinitePresentation(n - 1, relators),
-            chosen_generator=1,
-            action=action,
-            names=names,
-        )
-    if all(sys.m(i, i + 1) != INFINITY for i in range(1, n)):
+        action = [(-g,) for g in range(1, n)]
+    elif all(sys.m(i, i + 1) != INFINITY for i in range(1, n)):
         # a tree whose n - 1 edges are all (i, i + 1): the path labeled
         # consecutively
         letters = (n - 3) * (n - 1) + 2
@@ -216,23 +215,31 @@ def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
                 f"the path action at rank {n} has {letters} letters, "
                 f"over the cap {MAX_ACTION_LETTERS}"
             )
+        kind, chosen = "path", 2
         orders = [sys.m(i, i + 1) for i in range(1, n)]
-        relators = tuple(tuple([g] * orders[g - 1]) for g in range(1, n))
+        names = tuple(f"x{i}" for i in range(1, n))
         action = [(-1,), (-2,)]
         for j in range(3, n):
             prefix = tuple(range(2, j))
             action.append(prefix + (-j,) + tuple(-v for v in reversed(prefix)))
-        names = tuple(f"x{i}" for i in range(1, n))
-        return CommutatorStructure(
-            kind="path",
-            presentation=FinitePresentation(n - 1, relators),
-            chosen_generator=2,
-            action=tuple(action),
-            names=names,
+    else:
+        raise UnsupportedShape(
+            "commutator presentation needs a star centered at 1 or a "
+            "consecutively labeled path"
         )
-    raise UnsupportedShape(
-        "commutator presentation needs a star centered at 1 or a "
-        "consecutively labeled path"
+    letters = sum(orders)
+    if letters > MAX_ACTION_LETTERS:
+        raise OutputTooLarge(
+            f"the relators have {letters} letters, over the cap {MAX_ACTION_LETTERS}"
+        )
+    return CommutatorStructure(
+        kind=kind,
+        presentation=FinitePresentation(
+            n - 1, tuple((g,) * m for g, m in enumerate(orders, 1))
+        ),
+        chosen_generator=chosen,
+        action=tuple(action),
+        names=names,
     )
 
 
@@ -327,7 +334,10 @@ def rs_kernel(
     images define a homomorphism exactly when every relator walked from a
     coset returns to it; the walks start at the identity coset, so the
     first relator that fails is refused with ``NotAHomomorphism`` while it
-    is rewritten, after the search of the image group.
+    is rewritten, after the search of the image group.  A rewrite of more
+    than ``MAX_REWRITTEN_LETTERS`` letters in all is refused with
+    ``OutputTooLarge`` before any relator is spelled, since a system file
+    does not bound its labels.
     """
     n = sys.rank
     if len(images) != n:
@@ -343,6 +353,12 @@ def rs_kernel(
         image_cap,
         lambda: ImageTooLarge(f"image group exceeds {image_cap} elements"),
     )
+    letters = len(table) * 2 * (n + sum(m for _, _, m in sys.edges))
+    if letters > MAX_REWRITTEN_LETTERS:
+        raise OutputTooLarge(
+            f"rewriting the relators over {len(table)} cosets takes {letters} "
+            f"letters, over the cap {MAX_REWRITTEN_LETTERS}"
+        )
 
     # Schreier generators: one symbol per non-tree (coset, letter) pair;
     # symbol[s][letter - 1] is 0 on a tree edge
@@ -489,18 +505,7 @@ def _identity_of(table: Sequence[Sequence[int]]) -> int:
     raise BadGroupTable("multiplication table has no identity element")
 
 
-def _inverses_of(table: Sequence[Sequence[int]]) -> list:
-    identity = _identity_of(table)
-    out = []
-    for a, row in enumerate(table):
-        try:
-            out.append(row.index(identity))
-        except ValueError:
-            raise BadGroupTable(f"element {a} has no inverse in the table") from None
-    return out
-
-
-def _check_associative(table: Sequence[Sequence[int]]) -> None:
+def _check_associative(table: Sequence[Sequence[int]], identity: int) -> None:
     """Light's associativity test over a generating set picked greedily.
 
     The elements a with (x a) y = x (a y) for all x, y are closed under
@@ -511,9 +516,9 @@ def _check_associative(table: Sequence[Sequence[int]]) -> None:
     that the first elements would give).  Once they have passed, and with
     the identity and inverses the caller has checked, that span is a
     subgroup, so each new generator at least doubles it: there are at most
-    log2 |G| of them, each tested in |G|^2 cells.
+    log2 |G| of them, each tested in |G|^2 cells.  The caller passes the
+    identity it has found, so a table's identity is searched for once.
     """
-    identity = _identity_of(table)
     inside = [False] * len(table)
     inside[identity] = True
     span = [identity]
@@ -585,7 +590,9 @@ def twisted_count(
                             f"row {c} has an entry outside 0..{size - 1}"
                         )
                 raise NotBijectiveHom(f"map fails multiplicativity at ({a}, {b})")
-    _inverses_of(table)  # refuses a table without identity or inverses
+    # refuses a table without identity or inverses; inverses[0] is where
+    # row 0 holds the identity
+    inverses = inversion_map(table)
     fixed = sum(
         sum(map(eq, table[g], map(itemgetter(aut[g]), table))) for g in range(size)
     )
@@ -594,17 +601,25 @@ def twisted_count(
             f"table is not a group: fixed-point sum {fixed} "
             f"is not divisible by the order {size}"
         )
-    _check_associative(table)
+    _check_associative(table, table[0][inverses[0]])
     return fixed // size
 
 
 def conjugation_map(table: Sequence[Sequence[int]], g: int) -> list:
     """Index map of x -> g x g^-1 over a group table."""
     size = len(table)
-    ginv = _inverses_of(table)[g]
+    ginv = inversion_map(table)[g]
     return [table[table[g][x]][ginv] for x in range(size)]
 
 
 def inversion_map(table: Sequence[Sequence[int]]) -> list:
-    """Index map of x -> x^-1 over a group table."""
-    return _inverses_of(table)
+    """Index map of x -> x^-1 over a group table: the identity is found
+    once, then each row is searched for it."""
+    identity = _identity_of(table)
+    out = []
+    for a, row in enumerate(table):
+        try:
+            out.append(row.index(identity))
+        except ValueError:
+            raise BadGroupTable(f"element {a} has no inverse in the table") from None
+    return out

@@ -116,37 +116,36 @@ def split_inn_c(star: StarForm) -> Optional[ComplementD]:
     an odd number, so its odd-order half complements -1 there, and the
     remaining factors pass through whole.
     """
-    chosen = next(
-        (
-            (leaf, p)
-            for leaf in star.leaves
-            if (p := _qualifying_prime(star.t_of(leaf))) is not None
-        ),
-        None,
-    )
+    # every prime power of every leaf label, each label factored once; the
+    # chosen pair is the first leaf with a prime p = 3 mod 4, at its least p
+    factors = [
+        (leaf, p, e, d)
+        for leaf in star.leaves
+        for p, e, d in unit_group(star.t_of(leaf)).factors
+    ]
+    chosen = next(((leaf, p) for leaf, p, _, _ in factors if p % 4 == 3), None)
     if chosen is None:
         return None
     generators = []
     order = 1
-    for leaf in star.leaves:
+    for leaf, p, e, d in factors:
         t = star.t_of(leaf)
-        for p, e, d in unit_group(t).factors:
-            q = p**e
-            g = primitive_root(p, e)
-            if (leaf, p) == chosen:
-                g, d = pow(g, 2, q), d // 2  # odd-order index-2 subgroup
-                # arithmetic certificate: -1 does not lie in the odd-order half
-                if pow(q - 1, d, q) == 1:
-                    raise CertificateFailed("-1 landed in the odd-order half")
-            if d == 1:
-                continue
-            rest = t // q
-            # lift: congruent to g mod q, to 1 mod the other prime powers
-            lifted = (g + q * ((1 - g) * pow(q, -1, rest) % rest)) % t
-            vec = [1] * (star.rank - 1)
-            vec[leaf - 2] = lifted
-            generators.append(tuple(vec))
-            order *= d
+        q = p**e
+        g = primitive_root(p, e)
+        if (leaf, p) == chosen:
+            g, d = pow(g, 2, q), d // 2  # odd-order index-2 subgroup
+            # arithmetic certificate: -1 does not lie in the odd-order half
+            if pow(q - 1, d, q) == 1:
+                raise CertificateFailed("-1 landed in the odd-order half")
+        if d == 1:
+            continue
+        rest = t // q
+        # lift: congruent to g mod q, to 1 mod the other prime powers
+        lifted = (g + q * ((1 - g) * pow(q, -1, rest) % rest)) % t
+        vec = [1] * (star.rank - 1)
+        vec[leaf - 2] = lifted
+        generators.append(tuple(vec))
+        order *= d
     if order != c_order(star) // 2:
         raise CertificateFailed(
             f"complement has order {order}, expected {c_order(star) // 2}"
