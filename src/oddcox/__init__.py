@@ -22,15 +22,11 @@ _EXPORTS = {
         "INFINITY",
         "Classification",
         "CoxeterSystem",
-        "DiagramGamma",
-        "DiagramV",
         "StarForm",
         "SystemInvariant",
         "canonical_star",
         "classify",
         "decide_isomorphic",
-        "diagram_gamma",
-        "diagram_v",
         "invariants",
         "merge_generators",
         "path_system",

@@ -16,7 +16,7 @@ import sys as _sys
 import oddcox
 
 from . import core, words
-from .errors import OddCoxeterError, SystemFileError
+from .errors import ImageTooLarge, OddCoxeterError, SystemFileError
 
 
 class CommandResult(core._Record, frozen=False):
@@ -108,7 +108,8 @@ def cmd_classify(ns):
     sys = _load_system(ns.system)
     c = core.classify(sys)
     return [
-        ("odd", _bool(c.odd)),
+        # a system is odd by construction: CoxeterSystem accepts odd labels only
+        ("odd", "true"),
         ("connected", _bool(c.connected)),
         ("tree", _bool(c.tree)),
         ("in_tw", _bool(c.in_tw)),
@@ -276,6 +277,13 @@ def cmd_rs_kernel(ns):
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise SystemFileError("'images' must be an array of cycle strings")
     pathgroups = oddcox.pathgroups
+    # the images and the identity each hold degree cells in the image search
+    cells = degree * (len(texts) + 1)
+    if cells > pathgroups.MAX_SEARCH_CELLS:
+        raise ImageTooLarge(
+            f"{len(texts)} images of degree {degree} take {cells} cells, "
+            f"over the cap {pathgroups.MAX_SEARCH_CELLS}"
+        )
     images = [pathgroups.parse_cycles(text, degree) for text in texts]
     pres = pathgroups.rs_kernel(sys, images)
     facts = [

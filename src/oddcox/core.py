@@ -36,7 +36,6 @@ from .errors import (
     NotInTW,
     NotStarForm,
     NotSymmetric,
-    OutputTooLarge,
     SystemFileError,
 )
 
@@ -243,48 +242,7 @@ def validate_system(raw: Sequence[Sequence]) -> CoxeterSystem:
     return CoxeterSystem(n, edges)
 
 
-class DiagramV(_Record):
-    """Graph with one labeled edge per finite exponent."""
-
-    vertices: tuple
-    edges: tuple  # (i, j, m) with i < j, m finite
-
-
-class DiagramGamma(_Record):
-    """Graph with an edge for every pair; labels shown for exponents >= 4."""
-
-    vertices: tuple
-    edges: tuple  # (i, j, label) with label None when the exponent is 3
-
-
-def diagram_v(sys: CoxeterSystem) -> DiagramV:
-    return DiagramV(
-        vertices=tuple(sys.generators),
-        edges=tuple(sys.finite_pairs()),
-    )
-
-
-# Gamma has an edge for every pair, n(n - 1)/2 at rank n: capped at rank 1000
-MAX_GAMMA_EDGES = 5 * 10**5
-
-
-def diagram_gamma(sys: CoxeterSystem) -> DiagramGamma:
-    pairs = sys.rank * (sys.rank - 1) // 2
-    if pairs > MAX_GAMMA_EDGES:
-        raise OutputTooLarge(
-            f"diagram Gamma of rank {sys.rank} has {pairs} edges, "
-            f"over the cap {MAX_GAMMA_EDGES}"
-        )
-    edges = []
-    for i in range(1, sys.rank + 1):
-        for j in range(i + 1, sys.rank + 1):
-            m = sys.m(i, j)
-            edges.append((i, j, None if m == 3 else m))
-    return DiagramGamma(vertices=tuple(sys.generators), edges=tuple(edges))
-
-
 class Classification(_Record):
-    odd: bool
     connected: bool
     tree: bool
     in_tw: bool
@@ -304,7 +262,6 @@ def classify(sys: CoxeterSystem) -> Classification:
     connected = len(seen) == n
     tree = connected and len(sys.edges) == n - 1
     return Classification(
-        odd=True,
         connected=connected,
         tree=tree,
         in_tw=connected and tree and n >= 2,

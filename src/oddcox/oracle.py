@@ -55,6 +55,8 @@ def cayley_ball(
     # the previous layer, each word with its small-root state
     frontier: list = [((), {})]
     for r in range(1, radius + 1):
+        if not frontier:
+            break  # a finite group ended at the last layer
         extend = r < radius
         layer = []
         for s in sys.generators:

@@ -56,6 +56,10 @@ if TYPE_CHECKING:  # autkit loads only when pl_witness runs
     from .autkit import Endomorphism
 
 DEFAULT_IMAGE_CAP = 10**5
+# a Cayley search holds each element as a tuple of its degree points, so it
+# may hold at most this many points (cells) in all: L_8 on 8 points needs
+# 40320 x 8 = 322560
+MAX_SEARCH_CELLS = 10**6
 # group tables are |G| x |G|, so this cap keeps one to 4 million cells
 DEFAULT_GROUP_CAP = 2000
 # the path action spells x_j in 2(j - 2) + 1 letters, (n - 3)(n - 1) + 2 in all
@@ -289,17 +293,27 @@ def _simplify_limited(num_symbols: int, relators: list) -> FinitePresentation:
     return FinitePresentation(count, tuple(out))
 
 
-def _cayley_bfs(gens: Sequence[Permutation], cap: int, too_large):
+def _cayley_bfs(gens: Sequence[Permutation], cap: int, error: type, what: str):
     """Breadth-first search of the Cayley graph of <gens> from the identity.
 
     Returns (elements, right, tree): ``elements`` lists the group in BFS
     order as image tuples, ``right[e][k]`` is the position of
     elements[e] * gens[k], and ``tree[e]`` is the (parent, k) edge that
-    first reached e (None for the identity).  Calls ``too_large()`` for
-    the exception to raise when a new element would exceed ``cap``.  All
-    gens must share one degree.
+    first reached e (None for the identity).  Raises ``error``, naming the
+    group ``what``, when a new element would pass ``cap`` elements or
+    ``MAX_SEARCH_CELLS`` cells.  All gens must share one degree.
     """
-    start = tuple(range(1, gens[0].degree + 1))
+    degree = gens[0].degree
+    # elements x degree passes the cell cap exactly when elements passes this
+    limit = MAX_SEARCH_CELLS // degree
+    if limit < cap:
+        detail = (
+            f"{what} of degree {degree} takes at least {(limit + 1) * degree} "
+            f"cells, over the cap {MAX_SEARCH_CELLS}"
+        )
+    else:
+        limit, detail = cap, f"{what} exceeds {cap} elements"
+    start = tuple(range(1, degree + 1))
     maps = [(0,) + g.images for g in gens]  # maps[k][x] is the image of x
     index = {start: 0}
     keys = [start]
@@ -311,8 +325,8 @@ def _cayley_bfs(gens: Sequence[Permutation], cap: int, too_large):
             key = tuple(map(g.__getitem__, a))
             pos = index.get(key)
             if pos is None:
-                if len(keys) >= cap:
-                    raise too_large()
+                if len(keys) >= limit:
+                    raise error(detail)
                 pos = index[key] = len(keys)
                 keys.append(key)
                 tree.append((state, k))
@@ -348,11 +362,7 @@ def rs_kernel(
             raise NotAHomomorphism("images act on different degrees")
 
     # BFS over the image group: ShortLex transversal and full coset table
-    _, table, tree = _cayley_bfs(
-        images,
-        image_cap,
-        lambda: ImageTooLarge(f"image group exceeds {image_cap} elements"),
-    )
+    _, table, tree = _cayley_bfs(images, image_cap, ImageTooLarge, "image group")
     letters = len(table) * 2 * (n + sum(m for _, _, m in sys.edges))
     if letters > MAX_REWRITTEN_LETTERS:
         raise OutputTooLarge(
@@ -459,9 +469,7 @@ def perm_group_table(gens: Sequence[Permutation], cap: int = DEFAULT_GROUP_CAP):
         raise NotBijectiveHom("need at least one generator")
     if any(g.degree != gens[0].degree for g in gens):
         raise NotBijectiveHom("degrees differ")
-    elements, right, tree = _cayley_bfs(
-        gens, cap, lambda: GroupTooLarge(f"group exceeds {cap} elements")
-    )
+    elements, right, tree = _cayley_bfs(gens, cap, GroupTooLarge, "group")
     # elements[b] = elements[parent] * gens[k] with parent < b, so
     # a * elements[b] = (a * elements[parent]) * gens[k]
     steps = tree[1:]

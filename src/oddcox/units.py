@@ -101,13 +101,6 @@ class ComplementD(_Record):
     order: int
 
 
-def _qualifying_prime(m: int) -> Optional[int]:
-    for p, _ in factorize_int(m):
-        if p % 4 == 3:
-            return p
-    return None
-
-
 def split_inn_c(star: StarForm) -> Optional[ComplementD]:
     """Complement of the -1 vector in C when one exists.
 
@@ -208,10 +201,10 @@ def out_descriptor(star: StarForm) -> OutDescriptor:
     out_order = order_c // 2
     for _, k in shape:
         out_order *= math.factorial(k)
-    splits = any(_qualifying_prime(m) is not None for m, _ in shape)
-    guaranteed = any(
-        k == 1 and _qualifying_prime(m) is not None for m, k in shape
-    )
+    # the multiplicity of each exponent that a prime p = 3 mod 4 divides
+    qualifying = [k for m, k in shape if any(p % 4 == 3 for p, _ in factorize_int(m))]
+    splits = bool(qualifying)
+    guaranteed = 1 in qualifying
     note = None
     if splits and not guaranteed:
         note = (

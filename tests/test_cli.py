@@ -73,6 +73,47 @@ def test_validate_classify_invariants(files):
     assert lines == ["rank: 3", "exponents: 3 5"]
 
 
+CLASSIFY_SYSTEMS = {
+    "star": '{"rank": 3, "edges": [{"u": 1, "v": 2, "m": 3}, {"u": 1, "v": 3, "m": 5}]}',
+    "triangle": (
+        '{"rank": 3, "edges": [{"u": 1, "v": 2, "m": 3}, '
+        '{"u": 1, "v": 3, "m": 3}, {"u": 2, "v": 3, "m": 3}]}'
+    ),
+    "disconnected": (
+        '{"rank": 4, "edges": [{"u": 1, "v": 2, "m": 3}, {"u": 3, "v": 4, "m": 5}]}'
+    ),
+    "rank1": '{"rank": 1}',
+}
+
+
+@pytest.mark.parametrize(
+    "name, connected, tree, in_tw",
+    [
+        ("star", "true", "true", "true"),
+        ("triangle", "true", "false", "false"),
+        ("disconnected", "false", "false", "false"),
+        ("rank1", "true", "true", "false"),
+    ],
+)
+def test_classify_exact_output(tmp_path, name, connected, tree, in_tw):
+    path = tmp_path / f"{name}.json"
+    path.write_text(CLASSIFY_SYSTEMS[name])
+    res = run(["classify", str(path)])
+    assert res.exit_code == 0
+    assert res.lines == [
+        "odd: true",
+        f"connected: {connected}",
+        f"tree: {tree}",
+        f"in_tw: {in_tw}",
+    ]
+    res = run(["--format", "json", "classify", str(path)])
+    assert res.exit_code == 0
+    assert res.lines == [
+        f'{{"odd": "true", "connected": "{connected}", '
+        f'"tree": "{tree}", "in_tw": "{in_tw}"}}'
+    ]
+
+
 def test_canonical_star_round_trip(files):
     lines = run(["canonical-star", files["path53"]]).lines
     system_line = next(l for l in lines if l.startswith("system: "))

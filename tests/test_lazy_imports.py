@@ -17,10 +17,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # every name ``oddcox`` exported when its __init__ imported all submodules
 OLD_EXPORTS = {
     "core": (
-        "INFINITY Classification CoxeterSystem DiagramGamma DiagramV StarForm "
-        "SystemInvariant canonical_star classify decide_isomorphic diagram_gamma "
-        "diagram_v invariants merge_generators path_system star_form "
-        "system_from_json system_to_json validate_system"
+        "INFINITY Classification CoxeterSystem StarForm SystemInvariant "
+        "canonical_star classify decide_isomorphic invariants merge_generators "
+        "path_system star_form system_from_json system_to_json validate_system"
     ),
     "words": (
         "alternating conjugate dihedral_log equal format_word inverse_word "

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oddcox import (
@@ -23,6 +25,22 @@ def test_ball_examples():
     assert cayley_ball(sys3, 1).elements == ((), (1,), (2,))
     assert len(cayley_ball(sys3, 3).elements) == 6
     assert len(cayley_ball(star(3, 3).system, 2).elements) == 10
+
+
+@pytest.mark.parametrize(
+    "sys, size",
+    [(validate_system([[1]]), 2), (star(3).system, 6)],
+    ids=["rank1", "d3"],
+)
+def test_ball_on_a_finite_group_stops_at_its_last_layer(sys, size):
+    # every layer past the longest element is empty, so a radius of 10^12
+    # costs what the whole group does
+    start = time.perf_counter()
+    ball = cayley_ball(sys, 10**12)
+    assert ball.elements == cayley_ball(sys, size).elements
+    assert len(ball.elements) == size
+    assert ball_search(sys, "centralizer", (), radius=10**12) == list(ball.elements)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ball_growth_monotone():

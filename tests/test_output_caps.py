@@ -6,25 +6,15 @@ import sys
 
 import pytest
 
-from oddcox import build_ln, commutator_presentation, diagram_gamma, path_system
-from oddcox import core, pathgroups, system_to_json
+from oddcox import build_ln, commutator_presentation, path_system
+from oddcox import pathgroups, system_to_json
 from oddcox.cli import main
 from oddcox.errors import OddCoxeterError
 
 
 def test_caps_keep_every_output_up_to_rank_1000():
-    # Gamma has n(n - 1)/2 edges and the path action (n - 3)(n - 1) + 2 letters
-    assert 1000 * 999 // 2 <= core.MAX_GAMMA_EDGES < 1001 * 1000 // 2
+    # the path action has (n - 3)(n - 1) + 2 letters
     assert 998 * 1000 + 2 <= pathgroups.MAX_ACTION_LETTERS < 999 * 1001 + 2
-
-
-def test_gamma_over_the_cap_is_refused():
-    with pytest.raises(OddCoxeterError) as info:
-        diagram_gamma(path_system([3] * 1000))
-    assert info.value.slug == "output-too-large"
-    assert str(info.value) == (
-        "diagram Gamma of rank 1001 has 500500 edges, over the cap 500000"
-    )
 
 
 def test_path_commutator_action_over_the_cap_is_refused():
