@@ -114,6 +114,10 @@ class EvenModulus(OddCoxeterError):
     slug = "even-modulus"
 
 
+class LabelTooLarge(OddCoxeterError):
+    slug = "label-too-large"
+
+
 # path-family toolkit
 class RankTooSmall(OddCoxeterError):
     slug = "rank-too-small"

@@ -14,14 +14,30 @@ import math
 from typing import Optional
 
 from .core import StarForm, _Record
-from .errors import CertificateFailed, EvenModulus
+from .errors import CertificateFailed, EvenModulus, LabelTooLarge
+
+
+# trial division runs below this; it alone factors every m below its square
+TRIAL_LIMIT = 10**4
+# Miller-Rabin with the prime bases 2..41 decides every n below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def factorize_int(m: int) -> list[tuple[int, int]]:
-    """Prime-power factorization as (p, exponent) pairs, ascending p."""
+    """Prime-power factorization as (p, exponent) pairs, ascending p.
+
+    Trial division by each d below ``TRIAL_LIMIT`` leaves a cofactor whose
+    prime factors all exceed it.  A cofactor below ``TRIAL_LIMIT`` squared
+    is 1 or prime.  A larger one below ``PRIME_TEST_BOUND`` is split by
+    Pollard-Brent into factors that Miller-Rabin proves prime; one at or
+    above the bound raises ``LabelTooLarge``, as no prime test here is
+    proven there.
+    """
     out = []
     d = 2
-    while d * d <= m:
+    while d * d <= m and d < TRIAL_LIMIT:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -29,9 +45,75 @@ def factorize_int(m: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((d, e))
         d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
+    if d * d > m:
+        if m > 1:
+            out.append((m, 1))
+        return out
+    if m >= PRIME_TEST_BOUND:
+        raise LabelTooLarge(
+            f"{m} has no prime factor below {TRIAL_LIMIT} and is at least "
+            f"{PRIME_TEST_BOUND}, beyond the proven prime test"
+        )
+    primes: dict[int, int] = {}
+    rest = [m]
+    while rest:
+        n = rest.pop()
+        if _is_prime(n):
+            primes[n] = primes.get(n, 0) + 1
+        else:
+            f = _pollard_brent(n)
+            rest += (f, n // f)
+    return out + sorted(primes.items())
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for an odd n > 41 below ``PRIME_TEST_BOUND``, where the
+    bases 2..41 make it a proof."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_TEST_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n with no prime factor below
+    ``TRIAL_LIMIT`` (Brent, BIT 20, 1980).  Deterministic: it retries
+    c = 1, 2, ... until the cycle yields a factor other than n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one product at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def euler_phi(m: int) -> int:

@@ -8,10 +8,11 @@ lexicographically least.  ``_reduce`` computes it in two steps:
 1. One stack pass reads each letter once.  It cancels an adjacent equal
    pair and rewrites an alternating factor of m + 1 letters as the
    opposite factor of m - 1 letters, (a b ...)_(m+1) = (b a ...)_(m-1),
-   re-reading the letters of the new factor.  If no alternating factor
-   (a b a ...) of m(a, b) letters is left, no braid move applies, so by
-   Tits' solution of the word problem the word is reduced and is the
-   only reduced spelling of its element: return it.
+   re-reading the letters of the new factor.  What is left has no equal
+   pair and no alternating run longer than m.  A run of exactly m(a, b)
+   letters is a site, and flipping it, (a b ...)_m -> (b a ...)_m, is a
+   braid move.  When no site is left, or the sites pass the flip
+   certificate below, the word is canonical: return it.
 2. One loop reads the word from the right through the small-root
    automaton of Brink and Howlett (Math. Ann. 296, 1993).  After each
    letter the state is the set of small roots in the left inversion set
@@ -30,6 +31,57 @@ lexicographically least.  ``_reduce`` computes it in two steps:
    spelling of a canonical x u is x followed by u.  Such an emission
    deletes its own letter, re-reads nothing and counts no budget step,
    so stopping changes neither the output nor the steps.
+
+The flip certificate.  By Tits' solution of the word problem, a word is
+reduced unless braid moves lead from it to a word with an adjacent equal
+pair, and the reduced spellings of an element form one braid class.
+Every exponent is odd, so a site (a b ... a) starts and ends with one
+letter, and its flip (b a ... b) puts the other letter at both ends.
+The stack pass records each index where a run reaches m letters as it
+appends, and at the end keeps the records that are still sites.  It
+certifies the word when
+
+(a) each site starts with its smaller letter, a < b;
+(b) no two sites overlap or touch: some letter lies between them;
+(c) at each end of each site, with c the letter past that end, the
+    alternating {b, c} run that the flip makes (b, then c, b, c, ... as
+    far as the word alternates) is shorter than m(b, c) and does not
+    reach the letter next to another site.
+
+Let w pass, with r sites, and let w_F be w with the sites in a set F
+flipped.  Every maximal alternating run of w_F is short or a site of w,
+flipped or not.  A run that holds two letters of a site holds all of it
+and ends there: past an unflipped site the letter is as in w, where the
+site was maximal, and past a flipped one it is neither a (the two were
+adjacent in w) nor in a site (b).  A run that holds at most one letter
+of each site and no flipped end has only letters of w, so it lies in a
+run of w that is no site and is shorter than its m.  A run that holds a
+flipped end b starts there, as the letter inside is a, and it is the
+run (c) measures: it stops before the letter next to any other site, so
+each letter it reads lies outside every site and is the same in w and
+in w_F.  So every w_F has the same sites, its braid moves are their
+flips, and the braid class of w is exactly the 2^r words w_F.  None has
+an equal pair: inside a site the letters alternate, outside one they are
+those of w, and a flipped end b meets a letter c that is not b, since
+the site would otherwise be a run of m + 1 in w.  So w is reduced, its
+reduced spellings are the w_F, and w is the ShortLex-least of them: w_F
+first differs from w at the first letter of its leftmost flipped site,
+where it has b > a.  Certifying costs the automaton nothing it would
+have counted, since it reads a canonical word with no step.
+
+Test (c) reads at most the letters between two sites, and stops at the
+letter next to the other site because past it the letters change with
+that site's flip, so the run's length is not known for every F.  With
+one letter c between sites A and B, the run of either flip reaches c at
+once, so (c) refuses whenever m(b, c) is finite.  It must: in
+(3 4 3 2 1 3 1 4), with every exponent 3 but m(1, 2) infinite, flipping
+(1 3 1) alone makes 3 2 3 with the 3 that ends the unflipped (3 4 3), a
+new site, and the canonical form is (3 4 2 3 2 1 3 4).  With two
+letters c d between A and B, the run of A's flip b c reaches d, the
+letter next to B, only when d = b; otherwise it has 2 < m(b, c) letters
+and stops at d, which no flip changes.  The same holds for B's flip
+and c, so two flips at least two letters apart that pass (c) do not
+meet.
 
 The least-left-descent test.  Let u be a reduced word with state S, and
 x a letter that is not a left descent of u (alpha_x is not in S).
@@ -127,8 +179,8 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
     rewrite (a b ...) of m + 1 letters as (b a ...) of m - 1 letters.
 
     Returns the letters and the rewrite steps taken so far, the input
-    counting as the first, or 0 steps when no alternating run of m
-    letters remains.
+    counting as the first, or 0 steps when the word is certified
+    canonical: no site is left, or every site passes ``_flips_are_free``.
     """
     rows = sys._rows
     # two sentinel letters: 0 equals no letter and has no finite exponent
@@ -137,7 +189,7 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
     y = z = run = 0  # out[-1], out[-2] and runs[-1]
     pending: list[int] = []  # letters to re-read after a rewrite, the next last
     steps = 1
-    braidable = False
+    sites: list[int] = []  # each index where a run reached m letters as appended
     for x in word:
         while True:
             if x == y:
@@ -164,15 +216,87 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
                     del runs[-m:]
                     y, z, run = out[-1], out[-2], runs[-1]
                 else:
-                    braidable = braidable or run == m
+                    if run == m:
+                        sites.append(len(out))
                     out.append(x)
                     runs.append(run)
                     z, y = y, x
             if not pending:
                 break
             x = pending.pop()
+    out.append(0)  # a third sentinel, after the word
+    certified = not sites or _flips_are_free(rows, out, runs, sites)
     del out[:2]
-    return out, steps if braidable else 0
+    out.pop()
+    return out, 0 if certified else steps
+
+
+def _flips_are_free(rows: list, out: list, runs: list, records: list) -> bool:
+    """The flip certificate on the stack-pass word ``out``, between its
+    sentinels, with run lengths ``runs``.
+
+    ``records`` holds each index where a run reached m letters as its
+    letter was appended, so every site is recorded by the append that
+    put its last letter.  A record whose letter stayed lies below every
+    later record, as the stack never fell back to it.  So, read from the
+    right, a record at or past the least index read so far is stale, and
+    one below it ends a site exactly when its run still has m letters.
+    True when (a) each site starts with its smaller letter, (b) no two
+    sites overlap or touch, and (c) no flip makes a new site at either
+    end of its site (``_flip_end_is_free``).
+    """
+    sites = []  # (start, end, larger letter), right to left
+    # stop: the letter before the site to the right; at first the sentinel
+    low = stop = len(out) - 1
+    for end in reversed(records):
+        if end >= low:
+            continue
+        low = end
+        a, b = out[end], out[end - 1]  # m is odd: the site starts with a
+        m = runs[end]
+        if m != rows[a].get(b):
+            continue
+        if a > b or end >= stop:
+            return False
+        stop = end - m
+        sites.append((stop + 1, end, b))
+    right = len(out) - 1  # the letter before the site to the right
+    for k, (start, end, b) in enumerate(sites):
+        # the letter after the site to the left, or the sentinel before the word
+        left = sites[k + 1][1] + 1 if k + 1 < len(sites) else 1
+        if not (
+            _flip_end_is_free(rows, out, b, end + 1, 1, right)
+            and _flip_end_is_free(rows, out, b, start - 1, -1, left)
+        ):
+            return False
+        right = start - 1
+    return True
+
+
+def _flip_end_is_free(
+    rows: list, out: list, b: int, p: int, step: int, stop: int
+) -> bool:
+    """Whether flipping a site leaves no new site at one of its ends.
+
+    The flip puts the site's larger letter b at its end, next to
+    c = out[p]; the letters past it are read in direction ``step``.  True
+    when the alternating {b, c} run so made stays shorter than m(b, c)
+    and ends before out[stop], the letter next to another site, whose
+    flip could lengthen it.
+    """
+    m = rows[b].get(out[p])
+    if m is None:
+        return True
+    length = 2
+    while p != stop:
+        p += step
+        if out[p] != b:
+            return True
+        length += 1
+        if length == m:
+            return False
+        b = out[p - step]  # the letter the run needs next
+    return False
 
 
 def _push(row: dict, state: dict, x: int, index: int) -> dict:
@@ -219,7 +343,7 @@ def _descents(sys: CoxeterSystem, canon: Word) -> set:
 
 def _reduce(sys: CoxeterSystem, word: Sequence[int], budget: int) -> Word:
     pending, steps = _stack_pass(sys, word, budget)
-    if not steps:  # no run of m letters is left: the word is canonical
+    if not steps:  # certified canonical by the stack pass
         return tuple(pending)
     rows = sys._rows
     blocking = sys._blocking

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import sys
 
 import pytest
 
@@ -9,8 +11,10 @@ from oddcox import (
     split_inn_c,
     unit_group,
 )
-from oddcox.errors import EvenModulus
+from oddcox.cli import main
+from oddcox.errors import EvenModulus, LabelTooLarge
 from oddcox.units import (
+    PRIME_TEST_BOUND,
     c_order,
     euler_phi,
     factorize_int,
@@ -210,3 +214,96 @@ def test_out_descriptor_all_three_note_claims_only_the_criterion():
         assert d.inn_c_splits is True
         assert d.aut_out_split_guaranteed is False
         assert d.note == other.note
+
+
+# ------------------------------------------------------------- big labels
+
+# primes with no factor below the trial-division limit
+P13 = 10**13 + 37
+P25 = 10**25 + 13  # past the bound of the proven prime test
+M61 = 2**61 - 1
+
+
+def _small_primes(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
+    return [n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(P13, 1)],
+        [(3, 60)],
+        [(10**12 + 39, 1), (10**12 + 61, 1)],
+        [(3, 1), (5, 1), (7, 1), (P13, 1)],
+        [(10007, 3)],
+        [(10007, 2), (P13, 1)],
+        [(3, 2), (10007, 1), (P13, 1)],
+    ],
+    ids=[
+        "prime",
+        "3^60",
+        "two-1e12",
+        "smooth-times-prime",
+        "cube",
+        "square-times-prime",
+        "mixed",
+    ],
+)
+def test_factorize_int_splits_cofactors_past_trial_division(factors):
+    assert factorize_int(math.prod(p**e for p, e in factors)) == factors
+
+
+def test_factorize_int_on_random_products_of_primes():
+    """Products of primes above and below the trial-division limit: the
+    part above it is split below the bound and refused from it on."""
+    primes = _small_primes(2 * 10**5)
+    rng = random.Random(27)
+    refused = 0
+    for _ in range(300):
+        chosen = {}
+        for _ in range(rng.randint(1, 5)):
+            p = rng.choice(primes)
+            chosen[p] = chosen.get(p, 0) + rng.randint(1, 3)
+        factors = sorted(chosen.items())
+        m = math.prod(p**e for p, e in factors)
+        if math.prod(p**e for p, e in factors if p > 10**4) < PRIME_TEST_BOUND:
+            assert factorize_int(m) == factors
+        else:
+            refused += 1
+            with pytest.raises(LabelTooLarge):
+                factorize_int(m)
+    assert 0 < refused < 300
+
+
+def test_factorize_int_refuses_a_cofactor_past_the_prime_test():
+    assert P25 >= PRIME_TEST_BOUND
+    for m in (P25, 3**5 * P25, P13 * P13 * M61):
+        with pytest.raises(LabelTooLarge):
+            factorize_int(m)
+
+
+@pytest.mark.parametrize("command", ["out", "split"])
+def test_big_labels_decide_through_the_cli(tmp_path, capsys, monkeypatch, command):
+    for label, code in ((P13, 0), (P25, 1)):
+        system = tmp_path / f"{label}.json"
+        system.write_text(
+            '{"rank": 3, "edges": [{"u": 1, "v": 2, "m": 3}, '
+            f'{{"u": 1, "v": 3, "m": {label}}}]}}'
+        )
+        monkeypatch.setattr(sys, "argv", ["oddcox", command, str(system)])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code or 0, err) == (code, "")
+        if code:
+            assert out == (
+                f"error: label-too-large: {P25} has no prime factor below 10000 "
+                f"and is at least {PRIME_TEST_BOUND}, beyond the proven prime test\n"
+            )
+        else:
+            assert str(P13 - 1) in out
