@@ -8,6 +8,14 @@ reduce-and-dedup reference ball (``tests/ball_oracle.py``), the
 dihedral tables (``tests/dihedral_oracle.py``) and the Tits
 representation over a prime field (``tests/tits_oracle.py``).
 Failures are explicit errors, never silently truncated results.
+
+A search walks the ball as a tree, each canonical word below its
+canonical suffix, and carries the conjugate x a x^-1 down it.  It prunes
+by one lemma: if y = v x, then y a y^-1 = v (x a x^-1) v^-1 is at least
+len(x a x^-1) - 2 len(v) long, and len(v) <= radius - len(x) in the
+ball.  So no y below x hits a target shorter than
+len(x a x^-1) - 2 (radius - len(x)), and the walk drops x's subtree.
+The full-reduction reference search is in ``tests/ball_oracle.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Sequence
 
 from .core import CoxeterSystem, _Record
 from .errors import BadSearchRequest, BallBudgetExceeded, NegativeRadius
-from .words import DEFAULT_ORBIT_BUDGET, _push, check_word, reduce_word
+from .words import DEFAULT_ORBIT_BUDGET, _push, check_word, conjugate, reduce_word
 
 DEFAULT_BALL_BUDGET = 10**5
 
@@ -90,6 +98,17 @@ def ball_search(
 
     kind "conjugator": all x with x a x^-1 = b.
     kind "centralizer": all x with x a x^-1 = a.
+
+    The canonical words of the ball form a tree: x = (s,) + u has the
+    canonical suffix u as its parent, and u comes earlier in ShortLex
+    order.  So c(x), the canonical form of x a x^-1, is one conjugation
+    of c(u) by s away, through ``words.conjugate``.  A node is pruned,
+    with everything below it, by the lemma: if y = v x is in the ball,
+    then y a y^-1 = v c(x) v^-1 has length at least
+    len(c(x)) - 2 len(v), and len(v) <= radius - len(x).  So no y below
+    x can hit the target once len(c(x)) - 2 (radius - len(x)) exceeds
+    its length.  The sign map w -> (-1)^len(w) is a homomorphism, so
+    when len(a) and len(b) differ in parity there is no hit at all.
     """
     a = check_word(sys, a)
     if kind == "conjugator":
@@ -101,10 +120,19 @@ def ball_search(
     else:
         raise BadSearchRequest(f"unknown search kind {kind!r}")
     ball = cayley_ball(sys, radius, ball_budget)
-    # x a x^-1 = target exactly when x a = target x
-    return [
-        x
-        for x in ball.elements
-        if reduce_word(sys, x + a, orbit_budget)
-        == reduce_word(sys, target + x, orbit_budget)
-    ]
+    if (len(a) - len(target)) % 2:
+        return []
+    root = target if kind == "centralizer" else reduce_word(sys, a, orbit_budget)
+    # c(x) for each node of the ball tree whose subtree may still hit
+    conj = {(): root}
+    hits = [()] if root == target else []
+    for x in ball.elements[1:]:
+        parent = conj.get(x[1:])
+        if parent is None:
+            continue
+        c = conjugate(sys, parent, x[:1], orbit_budget)
+        if c == target:
+            hits.append(x)
+        if len(c) - 2 * (radius - len(x)) <= len(target):
+            conj[x] = c
+    return hits
