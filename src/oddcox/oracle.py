@@ -107,8 +107,7 @@ def ball_search(
     then y a y^-1 = v c(x) v^-1 has length at least
     len(c(x)) - 2 len(v), and len(v) <= radius - len(x).  So no y below
     x can hit the target once len(c(x)) - 2 (radius - len(x)) exceeds
-    its length.  The sign map w -> (-1)^len(w) is a homomorphism, so
-    when len(a) and len(b) differ in parity there is no hit at all.
+    its length.
     """
     a = check_word(sys, a)
     if kind == "conjugator":
@@ -120,8 +119,6 @@ def ball_search(
     else:
         raise BadSearchRequest(f"unknown search kind {kind!r}")
     ball = cayley_ball(sys, radius, ball_budget)
-    if (len(a) - len(target)) % 2:
-        return []
     root = target if kind == "centralizer" else reduce_word(sys, a, orbit_budget)
     # c(x) for each node of the ball tree whose subtree may still hit
     conj = {(): root}

@@ -1,8 +1,9 @@
-"""The automaton-walking Cayley ball and the half-length ball search
-against the reduce-and-dedup references in ``ball_oracle``."""
+"""The automaton-walking Cayley ball and the pruned ball-tree search
+against the reduce-and-dedup references in ``ball_oracle``, and the work
+and orbit budgets of the search."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddcox import (
@@ -15,10 +16,11 @@ from oddcox import (
     words,
 )
 from oddcox.core import CoxeterSystem
-from oddcox.errors import BallBudgetExceeded, OddCoxeterError
+from oddcox.errors import BallBudgetExceeded, OddCoxeterError, OrbitBudgetExceeded
 from oddcox.words import alternating, inverse_word, reduce_word
 from ball_oracle import reference_ball, reference_search
 from conftest import star
+from test_engine_certificate import odd_tree
 from test_engine_oracle import PATH_3333, SYSTEMS
 
 
@@ -204,3 +206,73 @@ def test_search_matches_the_conjugation_form(sys, kind, a, b):
     for radius in (0, 2, 4):
         hits = ball_search(sys, kind, a, b, radius=radius)
         assert hits == reference_search(sys, kind, a, b, radius=radius)
+
+
+STAR_357 = star(3, 5, 7).system
+
+
+@st.composite
+def random_search(draw):
+    """(system, kind, a, b, radius) on the path, star(3, 5, 7) or an odd
+    tree: a and b have up to 4 letters, then a third of the conjugator
+    searches take b = x a x^-1 and a third a = x b x^-1, so that hits
+    exist and the conjugate must shrink, not only grow, on the way to
+    them.  x is a longest canonical word of the ball, so a hit may sit
+    where the pruning bound is tight.  Balls stay within about 3,000
+    words."""
+    sys = draw(st.sampled_from([PATH_3333, STAR_357]) | odd_tree())
+    word = st.lists(st.sampled_from(sys.generators), max_size=4).map(tuple)
+    a, b = draw(word), draw(word)
+    radius = draw(st.integers(0, 5 if sys.rank <= 5 else 4))
+    if draw(st.integers(0, 3)) == 0:
+        return sys, "centralizer", a, None, radius
+    ball = cayley_ball(sys, radius).elements
+    x = draw(st.sampled_from([w for w in ball if len(w) == len(ball[-1])]))
+    built = draw(st.integers(0, 2))
+    if built == 1:
+        b = x + a + inverse_word(x)
+    elif built == 2:
+        a = x + b + inverse_word(x)
+    return sys, "conjugator", a, b, radius
+
+
+# a and b of different length parity: no x conjugates one to the other
+@example((PATH_3333, "conjugator", (1,), (2, 3), 4))
+@example((STAR_357, "conjugator", (1, 2), (3,), 4))
+@example((PATH_3333, "conjugator", (), (5, 4, 5), 4))
+@settings(max_examples=400, deadline=None)
+@given(random_search())
+def test_search_matches_the_conjugation_form_on_random_searches(case):
+    sys, kind, a, b, radius = case
+    hits = ball_search(sys, kind, a, b, radius=radius)
+    assert hits == reference_search(sys, kind, a, b, radius=radius)
+
+
+@pytest.mark.parametrize("s", PATH_3333.generators)
+def test_pruning_conjugates_a_small_share_of_the_ball(monkeypatch, s):
+    size = len(cayley_ball(PATH_3333, 6).elements)
+    assert size == 5622
+    calls = []
+    for name in ("reduce_word", "conjugate"):
+
+        def counting(*args, f=getattr(oracle, name)):
+            calls.append(args)
+            return f(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    # the identity and s itself
+    assert ball_search(PATH_3333, "centralizer", (s,), radius=6) == [(), (s,)]
+    assert len(calls) < size // 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_search())
+def test_a_search_at_any_budget_answers_exactly_or_refuses(case):
+    sys, kind, a, b, radius = case
+    expected = ball_search(sys, kind, a, b, radius=radius)
+    for budget in range(9):
+        try:
+            got = ball_search(sys, kind, a, b, radius=radius, orbit_budget=budget)
+        except OrbitBudgetExceeded:
+            continue
+        assert got == expected, budget
