@@ -2,7 +2,12 @@
 
 The ball enumerates ShortLex normal forms through the word engine's
 small-root automaton, so it is not independent of the engine.  The
-independent checks of the engine and the ball live in the test suite:
+automaton has finitely many states (Brink and Howlett, Math. Ann. 296,
+1993): it is the ShortLex automatic structure of Epstein et al., *Word
+Processing in Groups* (1992), ch. 2.  So the ball interns each state's
+key set once per call and steps the automaton once per (state, letter)
+transition, not once per word.  The independent checks of the engine
+and the ball live in the test suite:
 the braid-orbit reducer (``tests/braid_oracle.py``), the
 reduce-and-dedup reference ball (``tests/ball_oracle.py``), the
 dihedral tables (``tests/dihedral_oracle.py``) and the Tits
@@ -51,36 +56,60 @@ def cayley_ball(
 
     A candidate s is accepted exactly when alpha_s is not in the state of
     u and s passes the least-left-descent test of the ``words`` module
-    docstring: O(degree of s) lookups, with no new state.  Only a word
-    that the next layer extends needs its own state, so ``words._push``
-    runs once per accepted word shorter than the radius, never for a
-    rejected candidate or the last layer, and no word is reduced.
+    docstring.  Both read only the keys of u's state, and ``words._push``
+    copies tags without reading them, so the keys it returns depend only
+    on the keys it is given.  So each frontier word carries the id of its
+    key set, interned in a table local to the call, and each letter has a
+    row indexed by state id: the id after reading the letter in front, or
+    None when the letter is rejected.  The row entries of a state are
+    filled once, at the start of the layer whose frontier first holds it,
+    and ``_push`` runs only when that layer is extended; the last layer
+    needs the rejection test alone.  So ``_push`` runs once per (state,
+    letter) transition, each for a distinct word of the layer being
+    built, and a candidate costs one list index; no word is reduced.
+    The table gains at most one entry per push: one per word that a layer
+    extends, plus the candidates of a layer that the ball budget stops.
+    So it never holds more than rank + 1 entries per element listed, nor
+    more than the automaton's finitely many states.
     """
     if radius < 0:
         raise NegativeRadius(f"radius must be nonnegative, got {radius}")
     neighbors = sys.neighbors
+    letters = [(s, (s,) + sys._blocking[s], []) for s in sys.generators]
+    # state id of each key set met so far; ids are dense, in order of discovery
+    ids: dict = {frozenset(): 0}
+    filled = 0  # states whose row entries are filled
     elements = [()]
-    # the previous layer, each word with its small-root state
-    frontier: list = [((), {})]
+    # the previous layer, each word with the id of its small-root state
+    frontier: list = [((), 0)]
     for r in range(1, radius + 1):
         if not frontier:
             break  # a finite group ended at the last layer
         extend = r < radius
+        states = list(ids)
+        for keys in states[filled:]:
+            state = dict.fromkeys(keys, 0)
+            for s, blocking, moves in letters:
+                if not keys.isdisjoint(blocking):
+                    moves.append(None)
+                elif extend:
+                    after = frozenset(_push(neighbors(s), state, s, 0))
+                    moves.append(ids.setdefault(after, len(ids)))
+                else:
+                    moves.append(-1)  # accepted; the last layer needs no state
+        filled = len(states)
         layer = []
-        for s in sys.generators:
-            row = neighbors(s)
-            # the keys whose presence in u's state rules out s as the
-            # least left descent of s u
-            blocking = (s,) + sys._blocking[s]
+        for s, _, moves in letters:
             for u, state in frontier:
-                if not state.keys().isdisjoint(blocking):
+                after = moves[state]
+                if after is None:
                     continue
                 if len(elements) >= ball_budget:
                     raise BallBudgetExceeded(f"ball exceeded {ball_budget} elements")
                 w = (s,) + u
                 elements.append(w)
                 if extend:
-                    layer.append((w, _push(row, state, s, r - 1)))
+                    layer.append((w, after))
         frontier = layer
     return CayleyBall(system=sys, radius=radius, elements=tuple(elements))
 

@@ -131,10 +131,8 @@ def test_ball_makes_no_reductions(monkeypatch):
     cayley_ball(PATH_3333, 5)
 
 
-@pytest.mark.parametrize(
-    "sys, radius", [(PATH_3333, 6), (star(3, 5, 7).system, 5)], ids=["path", "star"]
-)
-def test_ball_builds_state_only_for_words_it_extends(monkeypatch, sys, radius):
+def _counted_ball(sys, radius):
+    """The ball's elements and the number of ``_push`` calls it made."""
     pushes = []
     push = oracle._push
 
@@ -142,9 +140,58 @@ def test_ball_builds_state_only_for_words_it_extends(monkeypatch, sys, radius):
         pushes.append(args)
         return push(*args)
 
-    monkeypatch.setattr(oracle, "_push", counting)
-    elements = cayley_ball(sys, radius).elements
-    assert len(pushes) == sum(1 for w in elements if 1 <= len(w) < radius)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_push", counting)
+        elements = cayley_ball(sys, radius).elements
+    return elements, len(pushes)
+
+
+def _key_sets(sys, elements, below):
+    """The distinct small-root key sets of the words shorter than below,
+    each state read letter by letter with ``words._push``."""
+    states = {(): {}}
+    for w in elements[1:]:
+        if len(w) < below:
+            states[w] = words._push(sys.neighbors(w[0]), states[w[1:]], w[0], 0)
+    return {frozenset(state) for state in states.values()}
+
+
+def _check_one_state_per_transition(sys, radius):
+    elements, pushes = _counted_ball(sys, radius)
+    # no more than one state per word the next layer extends
+    assert pushes <= sum(1 for w in elements if 1 <= len(w) < radius)
+    # at most one per (state, letter) of a frontier that is extended
+    assert pushes <= sys.rank * len(_key_sets(sys, elements, radius - 1))
+    return elements, pushes
+
+
+@pytest.mark.parametrize(
+    "sys, radius", [(PATH_3333, 6), (star(3, 5, 7).system, 5)], ids=["path", "star"]
+)
+def test_ball_builds_one_state_per_transition(sys, radius):
+    _check_one_state_per_transition(sys, radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system_and_radius())
+def test_ball_builds_one_state_per_transition_on_generated_systems(case):
+    _check_one_state_per_transition(*case)
+
+
+def test_path_ball_at_radius_8_builds_few_states():
+    elements, pushes = _check_one_state_per_transition(PATH_3333, 8)
+    assert len(elements) == 80826
+    assert pushes < 100
+
+
+def test_no_state_outlives_a_call():
+    other = star(3, 5, 7, 9).system
+    assert other.rank == PATH_3333.rank
+    first, second = _counted_ball(PATH_3333, 5), _counted_ball(PATH_3333, 5)
+    assert first == second
+    for sys, after in [(PATH_3333, other), (other, PATH_3333)]:
+        cayley_ball(sys, 5)
+        assert cayley_ball(after, 5).elements == reference_ball(after, 5)
 
 
 @pytest.mark.parametrize("sys", [PATH_3333, star(3, 5, 7).system])
