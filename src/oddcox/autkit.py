@@ -75,23 +75,31 @@ from .words import (
 
 
 class Endomorphism(_Record):
-    """Generator-image list over a fixed ambient system."""
+    """Generator-image list over a fixed ambient system.
+
+    Building one checks that there is one image per generator, or raises
+    ``EndoFileError``.  The letters of an image are checked where they are
+    substituted, so the first bad letter raised is the first one read.
+    """
 
     system: CoxeterSystem
     images: tuple  # images[i - 1] is the image word of generator i
+
+    def __post_init__(self):
+        rank, k = self.system.rank, len(self.images)
+        if k != rank:
+            raise EndoFileError(f"expected {rank} generator images, got {k}")
 
     def image_of(self, i: int):
         return self.images[i - 1]
 
 
 def make_endo(sys: CoxeterSystem, images: Sequence[Sequence[int]]) -> Endomorphism:
-    if len(images) != sys.rank:
-        raise EndoFileError(
-            f"expected {sys.rank} generator images, got {len(images)}"
-        )
-    return Endomorphism(
-        system=sys, images=tuple(check_word(sys, w) for w in images)
-    )
+    # building the record checks the count before any letter is checked
+    e = Endomorphism(system=sys, images=tuple(map(tuple, images)))
+    for word in e.images:
+        check_word(sys, word)
+    return e
 
 
 def identity_endo(sys: CoxeterSystem) -> Endomorphism:

@@ -19,7 +19,7 @@ from . import core, words
 from .errors import ImageTooLarge, OddCoxeterError, SystemFileError
 
 
-class CommandResult(core._Record, frozen=False):
+class CommandResult(core._Record):
     exit_code: int
     lines: list
 

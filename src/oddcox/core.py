@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -53,19 +54,14 @@ class _Record:
     ``object.__setattr__``.  Records are equal when their classes are the
     same and their ``_values`` are equal, hash as their ``_values`` and
     print as ``Name(field=value, ...)``.  Assigning or deleting an
-    attribute raises ``AttributeError``; a class declared with
-    ``frozen=False`` is mutable and unhashable instead.  Instances keep a
-    ``__dict__``, so pickling, ``copy`` and ``vars`` work as for any object.
+    attribute raises ``AttributeError``.  Instances keep a ``__dict__``, so
+    pickling, ``copy`` and ``vars`` work as for any object.
     """
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._values = property(attrgetter(*cls._fields))
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -269,17 +265,35 @@ def classify(sys: CoxeterSystem) -> Classification:
 
 
 class SystemInvariant(_Record):
-    """Rank together with the multiset of finite exponents (sorted)."""
+    """Rank together with the multiset of finite exponents.
+
+    Building one checks that the rank is an integer of at least 2 and that
+    there are rank - 1 exponents, each an odd integer >= 3, or raises
+    ``MalformedInvariant``.  The exponents are stored sorted, so invariants
+    holding the same multiset are equal.
+    """
 
     rank: int
     finite_exponents: tuple
+
+    def __post_init__(self):
+        rank, ms = self.rank, tuple(self.finite_exponents)
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 2:
+            raise MalformedInvariant("rank must be at least 2")
+        if len(ms) != rank - 1:
+            raise MalformedInvariant(
+                f"expected {rank - 1} finite exponents, got {len(ms)}"
+            )
+        for m in ms:
+            if not _is_valid_exponent(m) or m == INFINITY:
+                raise MalformedInvariant(f"bad exponent {m}")
+        object.__setattr__(self, "finite_exponents", tuple(sorted(ms)))
 
 
 def invariants(sys: CoxeterSystem) -> SystemInvariant:
     if not classify(sys).in_tw:
         raise NotInTW("system is not an odd connected tree of rank >= 2")
-    ms = sorted(m for _, _, m in sys.finite_pairs())
-    return SystemInvariant(rank=sys.rank, finite_exponents=tuple(ms))
+    return SystemInvariant(sys.rank, tuple(m for _, _, m in sys.edges))
 
 
 def decide_isomorphic(a: CoxeterSystem, b: CoxeterSystem) -> bool:
@@ -290,15 +304,34 @@ def decide_isomorphic(a: CoxeterSystem, b: CoxeterSystem) -> bool:
 class StarForm(_Record):
     """Canonical star presentation: center 1, leaves 2..n, exponents ascending.
 
-    ``t`` lists the leaf exponents in leaf order, ``blocks`` groups leaves
-    with equal exponent into consecutive runs.
+    Building one checks that ``system`` is such a star, or raises
+    ``NotStarForm``: the rank is at least 2, the center and each leaf carry
+    a finite exponent, every other pair is unbounded, and the leaf
+    exponents ascend.  ``t`` lists the leaf exponents in leaf order and
+    ``blocks`` groups leaves with equal exponent into consecutive runs;
+    both are derived from the system and are not fields.
     """
 
     system: CoxeterSystem
-    t: tuple  # t[i - 2] is the exponent of leaf i
-    distinct: tuple
-    multiplicities: tuple
-    blocks: tuple  # tuple of tuples of leaf indices
+
+    def __post_init__(self):
+        sys = self.system
+        if sys.rank < 2:
+            raise NotStarForm("rank must be at least 2")
+        ts = [sys.m(1, i) for i in range(2, sys.rank + 1)]
+        if INFINITY in ts:
+            i = ts.index(INFINITY) + 2
+            raise NotStarForm(f"pair (1, {i}) must carry a finite exponent")
+        for i, j, _ in sys.edges:
+            if i != 1:
+                raise NotStarForm(f"pair ({i}, {j}) must be unbounded in a star")
+        if ts != sorted(ts):
+            raise NotStarForm("leaf exponents must be ascending")
+        runs = groupby(enumerate(ts, 2), key=itemgetter(1))
+        object.__setattr__(self, "t", tuple(ts))  # t[i - 2] is the exponent of leaf i
+        object.__setattr__(
+            self, "blocks", tuple(tuple(leaf for leaf, _ in run) for _, run in runs)
+        )
 
     @property
     def rank(self) -> int:
@@ -317,58 +350,14 @@ def _star_system(ts: Sequence[int]) -> CoxeterSystem:
     return CoxeterSystem(len(ts) + 1, ((1, leaf, t) for leaf, t in enumerate(ts, 2)))
 
 
-def _star_form(system: CoxeterSystem, ts: tuple) -> StarForm:
-    """The star form of ``system``, the star with leaf labels ``ts``: the
-    labels are grouped into blocks in one pass, and no system is rebuilt."""
-    distinct: list[int] = []
-    blocks: list[list[int]] = []
-    for leaf, t in enumerate(ts, 2):
-        if distinct and distinct[-1] == t:
-            blocks[-1].append(leaf)
-        else:
-            distinct.append(t)
-            blocks.append([leaf])
-    return StarForm(
-        system=system,
-        t=ts,
-        distinct=tuple(distinct),
-        multiplicities=tuple(len(block) for block in blocks),
-        blocks=tuple(tuple(block) for block in blocks),
-    )
-
-
 def canonical_star(inv: SystemInvariant) -> StarForm:
     """Star presentation determined by an invariant pair."""
-    if inv.rank < 2:
-        raise MalformedInvariant("rank must be at least 2")
-    if len(inv.finite_exponents) != inv.rank - 1:
-        raise MalformedInvariant(
-            f"expected {inv.rank - 1} finite exponents, got {len(inv.finite_exponents)}"
-        )
-    for m in inv.finite_exponents:
-        if not _is_valid_exponent(m) or m == INFINITY:
-            raise MalformedInvariant(f"bad exponent {m}")
-    ts = tuple(sorted(inv.finite_exponents))
-    return _star_form(_star_system(ts), ts)
+    return StarForm(_star_system(inv.finite_exponents))
 
 
 def star_form(sys: CoxeterSystem) -> StarForm:
     """Interpret an existing system as a canonical star, or fail."""
-    n = sys.rank
-    if n < 2:
-        raise NotStarForm("rank must be at least 2")
-    ts = []
-    for i in range(2, n + 1):
-        m = sys.m(1, i)
-        if m == INFINITY:
-            raise NotStarForm(f"pair (1, {i}) must carry a finite exponent")
-        ts.append(m)
-    for i, j, _ in sys.edges:
-        if i != 1:
-            raise NotStarForm(f"pair ({i}, {j}) must be unbounded in a star")
-    if ts != sorted(ts):
-        raise NotStarForm("leaf exponents must be ascending")
-    return _star_form(sys, tuple(ts))
+    return StarForm(sys)
 
 
 def path_system(labels: Sequence[int]) -> CoxeterSystem:

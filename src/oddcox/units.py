@@ -165,8 +165,8 @@ def primitive_root(p: int, e: int) -> int:
 
 
 def c_structure(star: StarForm) -> list[tuple[int, int]]:
-    """Distinct leaf exponents with multiplicities: the shape of C."""
-    return list(zip(star.distinct, star.multiplicities))
+    """Each distinct leaf exponent with its number of leaves: the shape of C."""
+    return [(star.t_of(block[0]), len(block)) for block in star.blocks]
 
 
 def c_order(star: StarForm) -> int:
@@ -244,10 +244,10 @@ def c_mod_minus_one_invariants(star: StarForm) -> tuple:
     of the k-th largest exponent of that prime.  No matrix is built.
     """
     exponents: dict[int, list[int]] = {}  # prime -> its exponent in each d_j
-    for leaf in star.leaves:
-        for _, _, d in unit_group(star.t_of(leaf)).factors:
+    for t, k in c_structure(star):  # the k leaves labeled t have equal d_j
+        for _, _, d in unit_group(t).factors:
             for r, a in factorize_int(d):
-                exponents.setdefault(r, []).append(a)
+                exponents.setdefault(r, []).extend([a] * k)
     twos = exponents[2]
     twos[twos.index(min(twos))] -= 1  # divide out -1
     ranked = [(r, sorted(a, reverse=True)) for r, a in exponents.items()]
@@ -264,7 +264,7 @@ class OutDescriptor(_Record):
     c_shape: tuple  # (exponent, multiplicity) pairs
     c_order: int
     out_order: int
-    graph_part: tuple  # multiplicities: the symmetric-group factors
+    graph_part: tuple  # block sizes: the symmetric-group factors
     out_abelian: tuple  # invariant factors of C mod -1
     inn_c_splits: bool
     aut_out_split_guaranteed: bool
@@ -297,7 +297,7 @@ def out_descriptor(star: StarForm) -> OutDescriptor:
         c_shape=shape,
         c_order=order_c,
         out_order=out_order,
-        graph_part=tuple(star.multiplicities),
+        graph_part=tuple(k for _, k in shape),
         out_abelian=c_mod_minus_one_invariants(star),
         inn_c_splits=splits,
         aut_out_split_guaranteed=guaranteed,

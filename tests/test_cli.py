@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oddcox import system_from_json, system_to_json, invariants
+from oddcox import CoxeterSystem, system_from_json, system_to_json, invariants
 from oddcox.cli import execute, main
 from conftest import star
 
@@ -63,6 +63,22 @@ def test_out_output(files):
     res = run(["out", files["l5"]])
     assert res.exit_code == 0
     assert res.lines[0] == "out_order: 24"
+
+
+@pytest.mark.parametrize(
+    "edges, detail",
+    [
+        ([(1, 2, 3), (1, 3, 3), (2, 3, 3)], "pair (2, 3) must be unbounded in a star"),
+        ([(1, 2, 5), (1, 3, 3)], "leaf exponents must be ascending"),
+    ],
+    ids=["triangle", "descending"],
+)
+def test_out_refuses_a_system_that_is_no_star_form(tmp_path, edges, detail):
+    path = tmp_path / "system.json"
+    path.write_text(system_to_json(CoxeterSystem(3, edges)))
+    res = run(["out", str(path)])
+    assert res.exit_code == 1
+    assert res.lines == [f"error: not-star-form: {detail}"]
 
 
 def test_validate_classify_invariants(files):
@@ -157,8 +173,11 @@ def test_aut_commands(files):
     assert res.lines[0].startswith("error: not-surjective")
 
 
-def test_split_and_commutator(files):
+def test_split_and_commutator(tmp_path, files):
     assert run(["split", files["star33"]]).lines[0] == "splits: true"
+    star5 = tmp_path / "star5.json"
+    star5.write_text(system_to_json(star(5).system))
+    assert run(["split", str(star5)]).lines == ["splits: false"]
     lines = run(["commutator", files["star35"]]).lines
     assert "relator: a2^3" in lines and "relator: a3^5" in lines
 
@@ -168,6 +187,28 @@ def test_rs_kernel_command(tmp_path, files):
     l3.write_text('{"rank": 2, "edges": [{"u":1,"v":2,"m":3}]}')
     res = run(["rs-kernel", str(l3), files["pi3"]])
     assert res.lines == ["generators: 0", "relator_count: 0"]
+
+
+def test_rs_kernel_prints_every_relator(tmp_path):
+    # L_4 under the sign map: degree 2, every generator sent to (1 2)
+    l4 = tmp_path / "l4.json"
+    l4.write_text(run(["ln", "build", "4"]).lines[-1][len("system: "):])
+    sign = tmp_path / "sign.json"
+    sign.write_text('{"degree": 2, "images": ["(1 2)", "(1 2)", "(1 2)"]}')
+    res = run(["rs-kernel", str(l4), str(sign)])
+    assert res.exit_code == 0
+    assert res.lines == [
+        "generators: 4",
+        "relator_count: 8",
+        "relator: 1 3",
+        "relator: 2 4",
+        "relator: 3 3 3",
+        "relator: 1 4 1 4 1 4",
+        "relator: 3 1",
+        "relator: 4 2",
+        "relator: 1 1 1",
+        "relator: 3 2 3 2 3 2",
+    ]
 
 
 def test_ln_commands():

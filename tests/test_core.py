@@ -9,6 +9,7 @@ from oddcox import (
     INFINITY,
     CoxeterSystem,
     SystemInvariant,
+    c_structure,
     canonical_star,
     classify,
     decide_isomorphic,
@@ -58,6 +59,10 @@ def test_validate_rejects_asymmetric_and_bad_diagonal():
         validate_system([[3, 3], [3, 1]])
     with pytest.raises(EvenOrSmallExponent):
         validate_system([[1, 1], [1, 1]])
+    with pytest.raises(MalformedInvariant, match="rank must be at least 1"):
+        validate_system([])
+    with pytest.raises(NotSymmetric, match="row 2 has length 1, expected 2"):
+        validate_system([[1, 3], [3]])
 
 
 def test_classify_star_triangle_disjoint():
@@ -102,7 +107,7 @@ def test_canonical_star_blocks():
     s = canonical_star(SystemInvariant(4, (3, 3, 5)))
     assert s.t == (3, 3, 5)
     assert s.blocks == ((2, 3), (4,))
-    assert s.distinct == (3, 5) and s.multiplicities == (2, 1)
+    assert c_structure(s) == [(3, 2), (5, 1)]
 
 
 def test_canonical_star_rank_two():
@@ -123,6 +128,8 @@ def test_canonical_star_rejects_malformed():
         canonical_star(SystemInvariant(4, (3, 3)))
     with pytest.raises(MalformedInvariant):
         canonical_star(SystemInvariant(1, ()))
+    with pytest.raises(MalformedInvariant, match="bad exponent 4"):
+        canonical_star(SystemInvariant(3, (3, 4)))
 
 
 def test_decide_isomorphic_examples():

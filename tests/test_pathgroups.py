@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from oddcox import (
+    CoxeterSystem,
     apply,
     build_ln,
     commutator_presentation,
@@ -315,6 +316,11 @@ def test_free_rank_examples():
 def test_free_rank_refuses_non_integer():
     with pytest.raises(NonIntegerResult):
         free_rank(build_ln(4), 5)
+
+
+def test_free_rank_refuses_a_system_outside_the_family():
+    with pytest.raises(NotInTW):
+        free_rank(CoxeterSystem(3, [(1, 2, 3)]), 6)
 
 
 def test_free_rank_refuses_an_index_below_one():

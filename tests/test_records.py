@@ -8,9 +8,11 @@ import pytest
 from oddcox import autkit, cli, core, oracle, pathgroups, units
 from oddcox.errors import (
     DiagonalNotOne,
+    EndoFileError,
     EvenOrSmallExponent,
     MalformedInvariant,
     NotBijectiveHom,
+    NotStarForm,
     NotSymmetric,
 )
 from conftest import star
@@ -30,20 +32,19 @@ RECORDS = [
         "tree",
         False,
     ),
-    (core.SystemInvariant, {"rank": 3, "finite_exponents": (3, 5)}, "rank", 2),
     (
-        core.StarForm,
-        {
-            "system": SYS,
-            "t": (3, 5),
-            "distinct": (3, 5),
-            "multiplicities": (1, 1),
-            "blocks": ((2,), (3,)),
-        },
-        "system",
-        OTHER_SYS,
+        core.SystemInvariant,
+        {"rank": 3, "finite_exponents": (3, 5)},
+        "finite_exponents",
+        (3, 7),
     ),
-    (autkit.Endomorphism, {"system": SYS, "images": ((1,), (2,), (3,))}, "images", ((1,),)),
+    (core.StarForm, {"system": SYS}, "system", OTHER_SYS),
+    (
+        autkit.Endomorphism,
+        {"system": SYS, "images": ((1,), (2,), (3,))},
+        "images",
+        ((1,), (3,), (2,)),
+    ),
     (autkit.AutFactorization, {"inner": (1,), "cvec": (1, 1), "perm": (2, 3)}, "cvec", (1, 2)),
     (
         autkit.NormalityWitness,
@@ -203,6 +204,59 @@ def test_bad_coxeter_system_raises_the_same_errors():
         core.CoxeterSystem(3, [(1, 2, 3), (2, 1, 3)])
 
 
+def test_bad_star_form_raises_the_same_errors():
+    with pytest.raises(NotStarForm, match="rank must be at least 2"):
+        core.StarForm(core.CoxeterSystem(1))
+    with pytest.raises(NotStarForm, match=r"pair \(1, 3\) must carry a finite exponent"):
+        core.StarForm(core.CoxeterSystem(3, [(1, 2, 3), (2, 3, 5)]))
+    with pytest.raises(NotStarForm, match=r"pair \(2, 3\) must be unbounded in a star"):
+        core.StarForm(core.CoxeterSystem(3, [(1, 2, 3), (1, 3, 3), (2, 3, 3)]))
+    with pytest.raises(NotStarForm, match="leaf exponents must be ascending"):
+        core.StarForm(system=core.CoxeterSystem(3, [(1, 2, 5), (1, 3, 3)]))
+
+
+def test_star_form_derives_its_shape_from_its_system():
+    s = core.StarForm(
+        core.CoxeterSystem(5, [(1, 2, 3), (1, 3, 3), (1, 4, 5), (1, 5, 7)])
+    )
+    assert s._fields == ("system",)
+    assert s.t == (3, 3, 5, 7) and s.t_of(4) == 5
+    assert s.blocks == ((2, 3), (4,), (5,))
+    assert repr(star(3, 5)) == f"StarForm(system={SYS!r})"
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy.t == s.t and copy.blocks == s.blocks
+
+
+def test_bad_system_invariant_raises_the_same_errors():
+    with pytest.raises(MalformedInvariant, match="rank must be at least 2"):
+        core.SystemInvariant(1, ())
+    with pytest.raises(MalformedInvariant, match="rank must be at least 2"):
+        core.SystemInvariant(True, ())
+    with pytest.raises(MalformedInvariant, match="expected 2 finite exponents, got 1"):
+        core.SystemInvariant(3, (3,))
+    for bad in (4, 1, core.INFINITY, True, 3.0):
+        with pytest.raises(MalformedInvariant, match=f"bad exponent {bad}"):
+            core.SystemInvariant(3, (3, bad))
+
+
+def test_system_invariant_holds_a_multiset():
+    assert core.SystemInvariant(3, (5, 3)) == core.invariants(star(3, 5).system)
+    assert core.SystemInvariant(3, [5, 3]).finite_exponents == (3, 5)
+    shuffled, ordered = core.SystemInvariant(4, (7, 3, 5)), core.SystemInvariant(4, (3, 5, 7))
+    assert shuffled == ordered and hash(shuffled) == hash(ordered)
+    assert core.canonical_star(core.SystemInvariant(3, (5, 3))) == star(3, 5)
+
+
+def test_endomorphism_with_the_wrong_image_count_is_refused():
+    for images in (((1,), (2,)), ((1,), (2,), (3,), (1,)), ()):
+        message = f"expected 3 generator images, got {len(images)}"
+        with pytest.raises(EndoFileError, match=message):
+            autkit.Endomorphism(SYS, images)
+        # the count is checked before the letters, here all out of range
+        with pytest.raises(EndoFileError, match=message):
+            autkit.make_endo(SYS, [(0,)] * len(images))
+
+
 def test_bad_permutation_raises_the_same_error():
     with pytest.raises(NotBijectiveHom, match=r"\(1, 1\) is not a permutation"):
         pathgroups.Permutation((1, 1))
@@ -211,14 +265,13 @@ def test_bad_permutation_raises_the_same_error():
     assert str(PERM) == "(1 2)"
 
 
-def test_command_result_is_mutable_and_unhashable():
+def test_command_result_is_frozen_and_unhashable():
     result = cli.CommandResult(0, ["valid: true"])
     assert result == cli.CommandResult(exit_code=0, lines=["valid: true"])
     assert repr(result) == "CommandResult(exit_code=0, lines=['valid: true'])"
-    result.exit_code = 1
-    result.lines.append("more")
-    assert result == cli.CommandResult(1, ["valid: true", "more"])
-    assert result != cli.CommandResult(0, ["valid: true", "more"])
+    with pytest.raises(AttributeError):
+        result.exit_code = 1
+    assert result != cli.CommandResult(1, ["valid: true"])
     with pytest.raises(TypeError):
         hash(result)
     copy = pickle.loads(pickle.dumps(result))

@@ -192,7 +192,7 @@ def test_out_order_formula_invariant():
         s = star(*multiset)
         d = out_descriptor(s)
         expected = c_order(s) // 2
-        for k in s.multiplicities:
+        for k in (len(block) for block in s.blocks):
             expected *= math.factorial(k)
         assert d.out_order == expected
         quotient_order = 1
