@@ -462,8 +462,7 @@ def factorize(
     exponents or injectivity is needed.
     """
     sys = star.system
-    if e.system != sys:
-        raise NotAutomorphism("cannot compose endomorphisms of different systems")
+    _check_system(sys, e)
     images = [check_word(sys, w) for w in e.images]
     try:
         x = involution_to_base(star, images[0], budget)

@@ -321,12 +321,9 @@ def cmd_ln(ns):
 
 def cmd_twisted(ns):
     pathgroups = oddcox.pathgroups
-    cap = pathgroups.DEFAULT_GROUP_CAP
     if ns.family == "sym":
         elements, table = pathgroups.symmetric_group_table(ns.n)
     else:
-        if ns.n > cap:
-            raise _UsageError(f"cyclic order {ns.n} exceeds the table cap {cap}")
         table = pathgroups.cyclic_group_table(ns.n)
         elements = None
     if ns.aut == "identity":

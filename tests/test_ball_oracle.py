@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oddcox import (
     ball_search,
     cayley_ball,
+    conjugate,
     involution_to_base,
     left_descents,
     oracle,
@@ -323,3 +324,81 @@ def test_a_search_at_any_budget_answers_exactly_or_refuses(case):
         except OrbitBudgetExceeded:
             continue
         assert got == expected, budget
+
+
+@pytest.mark.parametrize("sys", [PATH_3333, STAR_357], ids=["path", "star"])
+def test_search_builds_no_ball(monkeypatch, sys):
+    def refuse(*args):
+        raise AssertionError("ball_search built the ball")
+
+    monkeypatch.setattr(oracle, "cayley_ball", refuse)
+    for kind, a, b in SEARCHES:
+        hits = ball_search(sys, kind, a, b, radius=4)
+        assert hits == reference_search(sys, kind, a, b, radius=4)
+
+
+@pytest.mark.parametrize(
+    "kind, a, b, expected",
+    [
+        ("centralizer", (1,), None, [(), (1,)]),
+        ("conjugator", (2,), (4,), [(3, 4, 2, 3), (3, 4, 2, 3, 2)]),
+    ],
+)
+def test_path_searches_at_radius_10_answer_under_the_default_budget(kind, a, b, expected):
+    # the radius-10 ball has 1,161,798 elements, past the default budget
+    with pytest.raises(BallBudgetExceeded):
+        cayley_ball(PATH_3333, 10)
+    hits = ball_search(PATH_3333, kind, a, b, radius=10)
+    assert hits == expected
+    target = reduce_word(PATH_3333, a if b is None else b)
+    for x in hits:
+        assert conjugate(PATH_3333, a, x) == target
+    short = [x for x in hits if len(x) <= 8]
+    assert short == ball_search(PATH_3333, kind, a, b, radius=8)
+
+
+def _walk(sys, kind, a, b, radius):
+    """A search's hits and the nodes its walk built: the root and one
+    node per conjugation."""
+    calls = []
+    conjugate_ = oracle.conjugate
+
+    def counting(*args):
+        calls.append(args)
+        return conjugate_(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "conjugate", counting)
+        hits = ball_search(sys, kind, a, b, radius=radius)
+    return hits, 1 + len(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_search(), st.data())
+def test_a_search_at_any_ball_budget_answers_exactly_or_refuses(case, data):
+    sys, kind, a, b, radius = case
+    expected = reference_search(sys, kind, a, b, radius=radius)
+    hits, built = _walk(sys, kind, a, b, radius)
+    assert hits == expected
+    size = len(reference_ball(sys, radius))
+    assert built <= size
+    drawn = data.draw(st.integers(0, size), label="budget")
+    for budget in sorted({0, built - 1, built, drawn, size}):
+        got = _outcome(ball_search, sys, kind, a, b, radius=radius, ball_budget=budget)
+        # the root is built at any budget, so only a later node is refused
+        if 1 < built and budget < built:
+            refused = f"search built more than {budget} nodes"
+            assert got == (BallBudgetExceeded, refused), budget
+        else:
+            assert got == expected, budget
+
+
+@pytest.mark.parametrize("kind, a, b", SEARCHES)
+def test_path_search_at_radius_8_builds_few_nodes(kind, a, b):
+    # the radius-8 ball has 80,826 elements; these walks build 1,768 to
+    # 3,437 nodes
+    hits, built = _walk(PATH_3333, kind, a, b, 8)
+    assert built < 4000
+    target = reduce_word(PATH_3333, a if b is None else b)
+    for x in hits:
+        assert conjugate(PATH_3333, a, x) == target

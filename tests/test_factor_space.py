@@ -92,7 +92,7 @@ def test_endomorphisms_of_another_system_are_refused():
     foreign = identity_endo(star(3, 5, 7).system)
     with pytest.raises(NotAutomorphism, match="different system"):
         verify_endo(s, foreign)
-    message = "cannot compose endomorphisms of different systems"
+    message = "endomorphism belongs to a different system"
     with pytest.raises(NotAutomorphism, match=message):
         factorize(s, foreign)
     with pytest.raises(NotSurjective, match=message):
