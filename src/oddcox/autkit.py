@@ -9,14 +9,43 @@ where perm permutes leaves within blocks of equal exponent and cvec
 collects, per leaf i, the exponent k of the reflection map
 w_i -> w_1 (w_1 w_i)^k.  The factors spell each image as x^-1 core x,
 where a core is the ShortLex normal form of the center or of
-w_1 (w_1 w_j)^k, read off from k and t_j alone.  ``factorize`` takes x
-from the center's image, reduces x e(g) x^-1 once per generator g, reads
-perm and cvec off those words, validates them with ``_checked`` (the
-validator ``recompose`` uses) and certifies them by checking that each
-word is the core of g letter for letter; failure of any step is reported
-as ``NotAutomorphism``, which doubles as the non-surjectivity detector
+w_1 (w_1 w_j)^k, read off from k and t_j alone.
+
+``classify_endo`` reads an image list of a star once: the conjugator x
+with x e(1) x^-1 = w_1 (``involution_to_base``), the normal form u_g of
+x e(g) x^-1 for every generator g, and for each leaf the dihedral
+subgroup D_j = <w_1, w_j> that u_i lies in and its position k there.
+Every endomorphism has this description, by the fixed-tree argument.
+The star is the amalgam of the finite dihedral groups D_j over <w_1>,
+so W acts on its Bass-Serre tree, and a finite group acting on a tree
+fixes a vertex (Serre, *Trees*, I.4.3).  The vertices that w_1 fixes
+are the vertex of <w_1> and the vertices of D_2, ..., D_n: in the odd
+dihedral group D_j the reflection w_1 commutes with no element outside
+<w_1>, so w_1 fixes no other neighbour of D_j, and a fixed-point set is
+a subtree.  Now if e is an endomorphism with e(1) != 1, then e(1) is
+an involution, conjugate to w_1, and for each leaf i the group
+<w_1, u_i> is a quotient of the dihedral group of order 2 t_i, so
+finite.  It fixes a vertex that w_1 fixes, so it lies in <w_1> or in
+one D_j: u_i is a reflection w_1 (w_1 w_j)^k of one D_j (u_i = w_1 when
+k = 0; u_i = 1 would give w_1^(t_i) = 1), and (w_1 u_i)^(t_i) =
+(w_1 w_j)^(k t_i) = 1 says that t_j / gcd(k, t_j) divides t_i.
+Conversely those images satisfy every relator.  If e(1) = 1, the
+relators give e(i)^2 = e(i)^(t_i) = 1 with t_i odd, so every image is
+trivial.  ``verify_endo`` decides from the classification, with no
+relator word reduced; so the star (3, 100001) with images (1), (2),
+(2 3 2) is refused at once, as u_3 = (2 3 2) lies in no D_j, where
+testing the relator (1 3)^100001 reduces a word of 400,000 letters.
+
+``factorize`` reads the same classification.  It reads perm and cvec
+off the conjugates, validates them with ``_checked`` (the validator
+``recompose`` uses) and certifies them by checking that each u_g is the
+core of g letter for letter; failure of any step is reported as
+``NotAutomorphism``, which doubles as the non-surjectivity detector
 used by ``try_invert``.  Inverses and normality witnesses are computed
-from the three factors, so each image is reduced once.
+from the three factors, so each image is reduced once.  A conjugate
+x e(g) x^-1 first cancels equal letters across its two seams, found by
+comparing letters; that is a free reduction, so it is exact, and the
+word engine reads only what is left.
 
 Factored automorphisms also multiply in closed form: ``compose_factors``
 gives the factors of f1 o f2 with one reduction, of psi1(x2) x1, and
@@ -31,7 +60,8 @@ image-level composition.  ``outer_key`` names the outer class of f, and
 
 ``apply`` and ``compose`` work on any image list: they substitute each
 letter's image letter by letter and reduce the substituted word once.
-``satisfies_relations`` (and so ``verify_endo``) tests each relator on a
+``satisfies_relations`` decides the relators on any system, star or
+not (``pathgroups.pl_witness`` uses it), and tests each relator on a
 short conjugate instead of reducing a word 2m images long.  For a
 generator s, (s w s)^k = s w^k s, so w^k = 1 exactly when the word u left
 after taking equal end letters off w pairwise has u^k = 1.  It strips each
@@ -53,6 +83,7 @@ from typing import Sequence
 
 from .core import INFINITY, CoxeterSystem, StarForm, _Record, merge_generators
 from .errors import (
+    BadLetter,
     BadThetaExponent,
     BlockViolatingPermutation,
     EndoFileError,
@@ -202,10 +233,126 @@ def satisfies_relations(
     )
 
 
+class EndoClass(_Record):
+    """An image list of a star as ``classify_endo`` reads it.
+
+    ``inner`` is x with x e(1) x^-1 = w_1, and ``conjugates`` holds u_g,
+    the normal form of x e(g) x^-1, for every generator g.  ``targets``
+    holds, for each leaf i, (j, k) when j is the one leaf letter of u_i,
+    so u_i lies in D_j = <w_1, w_j> at position k (``dihedral_log``), or
+    None when u_i has no leaf letter or more than one.  When e(1) = 1,
+    ``inner`` is None, ``conjugates`` holds e's images in normal form and
+    ``targets`` is empty.
+    """
+
+    inner: object
+    conjugates: tuple
+    targets: tuple
+
+
+def _conjugate(sys: CoxeterSystem, x: Word, xinv: Word, w: Word, budget: int) -> Word:
+    """Normal form of x w x^-1, with ``xinv`` = x^-1.
+
+    Equal letters cancel across the seams x | w and w | x^-1 first, found
+    by comparing letters.  That is a free reduction, so the element stays
+    the same, and ``_reduce`` reads only what is left."""
+    n = len(x)
+    a = 0  # letters cancelled at x | w
+    top = min(n, len(w))
+    while a < top and x[-1 - a] == w[a]:
+        a += 1
+    b = 0  # letters cancelled at w | x^-1, among those left of w
+    top = min(n, len(w) - a)
+    while b < top and w[-1 - b] == x[-1 - b]:
+        b += 1
+    return _reduce(sys, x[: n - a] + w[a : len(w) - b] + xinv[b:], budget)
+
+
+def classify_endo(
+    star: StarForm, e: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
+) -> EndoClass:
+    """Read an image list of a star once (see ``EndoClass``).
+
+    x = ``involution_to_base``(e(1)), u_g = x e(g) x^-1 for every
+    generator g, and each leaf's target j and exponent k, or the trivial
+    map when e(1) = 1.  By the fixed-tree argument (module docstring) e
+    is an endomorphism exactly when every image is trivial, or when
+    every leaf's u_i is a reflection w_1 (w_1 w_j)^k of one D_j, k = 0
+    allowed, with t_j / gcd(k, t_j) dividing t_i; ``verify_endo`` reads
+    that off.
+
+    Every letter is checked before any reduction.  Raises
+    ``NotInvolution`` when e(1) is neither 1 nor an involution.
+    """
+    sys = star.system
+    _check_system(sys, e)
+    images = [check_word(sys, w) for w in e.images]
+    try:
+        x = involution_to_base(star, images[0], budget)
+    except NotInvolution:
+        if _reduce(sys, images[0], budget) != ():
+            raise
+        return EndoClass(
+            inner=None,
+            conjugates=tuple(_reduce(sys, w, budget) for w in images),
+            targets=(),
+        )
+    xinv = inverse_word(x)
+    us = tuple(_conjugate(sys, x, xinv, w, budget) for w in images)
+    targets = []
+    for u in us[1:]:
+        leaf_letters = set(u) - {1}
+        if len(leaf_letters) != 1:
+            targets.append(None)
+            continue
+        (j,) = leaf_letters
+        targets.append((j, _dihedral_position(star.t_of(j), u)[1]))
+    return EndoClass(inner=x, conjugates=us, targets=tuple(targets))
+
+
 def verify_endo(
     star: StarForm, e: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> bool:
-    return satisfies_relations(star.system, e, budget)
+    """Is e an endomorphism of the star?  Decided from ``classify_endo``.
+
+    By the fixed-tree argument (module docstring), exactly when every
+    image is trivial, or when e(1) is an involution and every leaf i has
+    u_i = w_1 (w_1 w_j)^k, a reflection of one D_j: u_i = w_1 (k = 0), or
+    an odd-length u_i whose one leaf letter is j, with t_j / gcd(k, t_j)
+    dividing t_i.  No relator word is reduced.  It returns what
+    ``satisfies_relations`` returns, and raises the same first bad letter.
+
+    That needs a separate involution test only when a letter is bad:
+    ``satisfies_relations`` reads image g, its letters and then whether
+    it squares to 1, only once every earlier image has passed, so a bad
+    letter after an image that is no involution is never read.  With
+    every letter good the classification decides the test itself: an
+    image that is no involution is not 1, and its leaf's u_i is no
+    reflection.
+    """
+    try:
+        c = classify_endo(star, e, budget)
+    except NotInvolution:
+        return False
+    except BadLetter:
+        sys = star.system
+        for w in e.images:
+            u = _strip(check_word(sys, w))
+            if _reduce(sys, u + u, budget) != ():
+                return False
+        raise
+    if c.inner is None:
+        return not any(c.conjugates)
+    for i, u, target in zip(star.leaves, c.conjugates[1:], c.targets):
+        if u == (1,):
+            continue
+        if target is None or len(u) % 2 == 0:
+            return False
+        j, k = target
+        t = star.t_of(j)
+        if star.t_of(i) % (t // math.gcd(k, t)):
+            return False
+    return True
 
 
 def inner_auto(
@@ -435,13 +582,17 @@ def factorize(
 ) -> AutFactorization:
     """Factor a verified endomorphism, or prove it is no automorphism.
 
-    Four steps, each refusal reported as ``NotAutomorphism``:
+    ``classify_endo`` checks every letter first.  Then four steps, each
+    refusal reported as ``NotAutomorphism``:
 
-    1. ``involution_to_base`` finds x with x e(1) x^-1 = w_1; it refuses an
-       identity or non-involution image of the center.
-    2. Reduce u_g = x e(g) x^-1 once for every generator g.
+    1. ``classify_endo`` finds x with x e(1) x^-1 = w_1 through
+       ``involution_to_base``; an identity or non-involution image of the
+       center is refused.
+    2. ``classify_endo`` reduces u_g = x e(g) x^-1 once for every
+       generator g.
     3. Each leaf's u must lie in exactly one maximal dihedral subgroup
-       <w_1, w_j>; its position there gives the exponent k.  ``_checked``
+       <w_1, w_j>, its target in the classification; its position there
+       gives the exponent k.  ``_checked``
        then validates the read factors: perm must be a block-respecting
        permutation of the leaves and every k a unit mod its label.
     4. Certify: every u_g must be ``_core(star, f, g)`` letter for letter.
@@ -462,31 +613,28 @@ def factorize(
     exponents or injectivity is needed.
     """
     sys = star.system
-    _check_system(sys, e)
-    images = [check_word(sys, w) for w in e.images]
     try:
-        x = involution_to_base(star, images[0], budget)
+        c = classify_endo(star, e, budget)
     except NotInvolution as exc:
         raise NotAutomorphism(f"center image is not an involution: {exc}") from exc
-    xinv = inverse_word(x)
-    us = [_reduce(sys, x + w + xinv, budget) for w in images]
-    perm, cvec = [], []
-    for i, u in zip(star.leaves, us[1:]):
-        letters = set(u)
-        leaf_letters = letters - {1}
-        if len(leaf_letters) != 1:
+    if c.inner is None:
+        raise NotAutomorphism(
+            "center image is not an involution: "
+            "the identity is not a nontrivial involution"
+        )
+    for i, u, target in zip(star.leaves, c.conjugates[1:], c.targets):
+        if target is None:
             raise NotAutomorphism(
-                f"image of leaf {i} has support {sorted(letters)}, "
+                f"image of leaf {i} has support {sorted(set(u))}, "
                 "expected exactly one maximal dihedral subgroup"
             )
-        (j,) = leaf_letters
-        perm.append(j)
-        cvec.append(_dihedral_position(star.t_of(j), u)[1])
+    perm = [j for j, _ in c.targets]
+    cvec = [k for _, k in c.targets]
     try:
-        f = _checked(star, AutFactorization(inner=x, cvec=cvec, perm=perm))
+        f = _checked(star, AutFactorization(inner=c.inner, cvec=cvec, perm=perm))
     except (BlockViolatingPermutation, BadThetaExponent) as exc:
         raise NotAutomorphism(str(exc)) from exc
-    for g, u in zip(sys.generators, us):
+    for g, u in zip(sys.generators, c.conjugates):
         if u != _core(star, f, g):
             raise NotAutomorphism(
                 f"recomposition differs from the input on generator {g}"

@@ -114,6 +114,8 @@ def cayley_ball(
     """
     if radius < 0:
         raise NegativeRadius(f"radius must be nonnegative, got {radius}")
+    if ball_budget < 1:  # no room for the identity
+        raise BallBudgetExceeded(f"ball exceeded {ball_budget} elements")
     automaton = _Automaton(sys)
     elements = [()]
     # the previous layer, each word with the id of its small-root state
@@ -183,6 +185,8 @@ def ball_search(
         raise BadSearchRequest(f"unknown search kind {kind!r}")
     if radius < 0:
         raise NegativeRadius(f"radius must be nonnegative, got {radius}")
+    if ball_budget < 1:  # no room for the root
+        raise BallBudgetExceeded(f"search built more than {ball_budget} nodes")
     root = target if kind == "centralizer" else reduce_word(sys, a, orbit_budget)
     hits = [()] if root == target else []
     automaton = _Automaton(sys)

@@ -130,6 +130,11 @@ If s is a left descent of a reflection t other than s, then
 length(s t s) = length(t) - 2, and in an odd tree group every involution
 is a reflection (a finite subgroup lies in a conjugate of a generator or
 of an odd dihedral edge); ``involution_to_base`` rests on both facts.
+It also rests on the factor lemma: every factor of a canonical word is
+canonical, since a ShortLex-lesser reduced spelling of the factor would
+give a ShortLex-lesser reduced spelling of the word.  So s v s is v
+without its end letters whenever a canonical v starts and ends with s,
+and that step needs no reduction.
 """
 
 from __future__ import annotations
@@ -171,7 +176,7 @@ def inverse_word(word: Sequence[int]) -> Word:
 
 def alternating(a: int, b: int, length: int) -> Word:
     """The word (a b a b ...) with the given number of letters."""
-    return tuple(a if k % 2 == 0 else b for k in range(length))
+    return ((a, b) * ((length + 1) // 2))[:length]
 
 
 def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
@@ -466,6 +471,15 @@ def involution_to_base(
     generator is finally moved to the center by the dihedral shift
     c = (w_leaf w_1)^((t - 1)/2), which conjugates the leaf to the center
     inside their finite dihedral subgroup.
+
+    The factor lemma: a factor of a ShortLex-least reduced word is
+    ShortLex-least reduced, since a lesser spelling of the factor would
+    give a lesser spelling of the word.  So when the canonical v starts
+    and ends with the same letter s, s v s is v without its end letters,
+    as it stands, and only a v whose end letters differ is reduced.  The
+    descent keeps v as a window on one canonical word and takes a factor
+    in constant time, so a palindromic v of length L costs O(L), not
+    L / 2 reductions of up to L letters.
     """
     sys = star.system
     cur = reduce_word(sys, v, budget)
@@ -473,23 +487,25 @@ def involution_to_base(
         raise NotInvolution("the identity is not a nontrivial involution")
     if _reduce(sys, cur + cur, budget) != ():
         raise NotInvolution("word does not square to the identity")
-    acc: list[int] = []
-    while len(cur) > 1:
-        s = cur[0]
-        cand = _reduce(sys, (s,) + cur + (s,), budget)
-        if len(cand) != len(cur) - 2:
+    acc: list[int] = []  # the conjugating letters, first one first
+    lo, hi = 0, len(cur) - 1  # the window cur[lo : hi + 1] is canonical v
+    while lo < hi:
+        s = cur[lo]
+        acc.append(s)
+        if cur[hi] == s:  # the factor lemma
+            lo, hi = lo + 1, hi - 1
+            continue
+        cand = _reduce(sys, (s,) + cur[lo : hi + 1] + (s,), budget)
+        if len(cand) != hi - lo - 1:
             raise NoDescentStep(
                 "no generator shortens the involution; input is inconsistent"
             )
-        acc.insert(0, s)
-        cur = cand
-    j = cur[0]
+        cur, lo, hi = cand, 0, len(cand) - 1
+    j = cur[lo]
+    x = tuple(reversed(acc))
     if j != 1:
         t = star.t_of(j)
-        shift = alternating(j, 1, 2) * ((t - 1) // 2)
-        x = shift + tuple(acc)
-    else:
-        x = tuple(acc)
+        x = alternating(j, 1, t - 1) + x
     return _reduce(sys, x, budget)
 
 

@@ -19,6 +19,8 @@ def reference_ball(sys, radius: int, ball_budget: int = DEFAULT_BALL_BUDGET) -> 
     """All canonical words of length <= radius, sorted ShortLex."""
     if radius < 0:
         raise NegativeRadius(f"radius must be nonnegative, got {radius}")
+    if ball_budget < 1:
+        raise BallBudgetExceeded(f"ball exceeded {ball_budget} elements")
     seen = {()}
     layers = [[()]]
     for r in range(1, radius + 1):

@@ -385,8 +385,8 @@ def test_a_search_at_any_ball_budget_answers_exactly_or_refuses(case, data):
     drawn = data.draw(st.integers(0, size), label="budget")
     for budget in sorted({0, built - 1, built, drawn, size}):
         got = _outcome(ball_search, sys, kind, a, b, radius=radius, ball_budget=budget)
-        # the root is built at any budget, so only a later node is refused
-        if 1 < built and budget < built:
+        # a budget below 1 has no room for the root
+        if budget < built:
             refused = f"search built more than {budget} nodes"
             assert got == (BallBudgetExceeded, refused), budget
         else:
@@ -402,3 +402,17 @@ def test_path_search_at_radius_8_builds_few_nodes(kind, a, b):
     target = reduce_word(PATH_3333, a if b is None else b)
     for x in hits:
         assert conjugate(PATH_3333, a, x) == target
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_budget_below_one_has_no_room_for_the_identity(budget):
+    sys = PATH_3333
+    with pytest.raises(BallBudgetExceeded, match=f"^ball exceeded {budget} elements$"):
+        cayley_ball(sys, 0, ball_budget=budget)
+    for kind, b in (("centralizer", None), ("conjugator", (1,))):
+        with pytest.raises(
+            BallBudgetExceeded, match=f"^search built more than {budget} nodes$"
+        ):
+            ball_search(sys, kind, (1,), b, radius=0, ball_budget=budget)
+    assert cayley_ball(sys, 0, ball_budget=1).elements == ((),)
+    assert ball_search(sys, "centralizer", (1,), radius=0, ball_budget=1) == [()]

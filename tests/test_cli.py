@@ -282,6 +282,16 @@ def test_budget_flag(files):
     assert res.lines == ["error: budget"]
 
 
+def test_a_budget_below_one_refuses_even_a_radius_0_ball(tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(system_to_json(CoxeterSystem(3, [(1, 2, 3), (2, 3, 3)])))
+    for budget in ("0", "-1"):
+        res = run(["--budget", budget, "ball", str(path), "--radius", "0"])
+        assert (res.exit_code, res.lines) == (1, ["error: budget"])
+    res = run(["--budget", "1", "ball", str(path), "--radius", "0"])
+    assert (res.exit_code, res.lines[0]) == (0, "size: 1")
+
+
 def test_json_format(files):
     res = run(["--format", "json", "reduce", files["star3"], "2 1 2"])
     data = json.loads(res.lines[0])

@@ -20,19 +20,28 @@ def test_cell_cap_keeps_l8():
     assert 40320 * 8 <= pathgroups.MAX_SEARCH_CELLS
 
 
-def test_huge_degree_is_refused_before_any_cycle_is_parsed(tmp_path):
+def test_huge_degree_is_refused_before_any_cycle_is_parsed(tmp_path, monkeypatch):
     system = tmp_path / "l3.json"
     system.write_text(system_to_json(CoxeterSystem(2, [(1, 2, 3)])))
     hom = tmp_path / "hom.json"
     hom.write_text('{"degree": 1000000000000, "images": ["(1 2)", "(2 3)"]}')
+
+    def parse_cycles(text, degree):
+        raise AssertionError(f"parsed {text!r} at degree {degree}")
+
+    monkeypatch.setattr(pathgroups, "parse_cycles", parse_cycles)
+    argv = ["rs-kernel", str(system), str(hom)]
+    # once untimed, so the timed call does not pay for the first imports
+    first = execute(argv)
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        res = execute(["rs-kernel", str(system), str(hom)])
+        res = execute(argv)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert res == first
     assert res.exit_code == 1
     assert res.lines == [
         "error: image-too-large: 2 images of degree 1000000000000 take "
