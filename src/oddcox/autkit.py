@@ -44,8 +44,8 @@ core of g letter for letter; failure of any step is reported as
 used by ``try_invert``.  Inverses and normality witnesses are computed
 from the three factors, so each image is reduced once.  A conjugate
 x e(g) x^-1 first cancels equal letters across its two seams, found by
-comparing letters; that is a free reduction, so it is exact, and the
-word engine reads only what is left.
+comparing letters (``words._conjugate``); that is a free reduction, so
+it is exact, and the word engine reads only what is left.
 
 Factored automorphisms also multiply in closed form: ``compose_factors``
 gives the factors of f1 o f2 with one reduction, of psi1(x2) x1, and
@@ -96,6 +96,7 @@ from .errors import (
 from .words import (
     DEFAULT_ORBIT_BUDGET,
     Word,
+    _conjugate,
     _dihedral_position,
     _reduce,
     alternating,
@@ -240,32 +241,12 @@ class EndoClass(_Record):
     the normal form of x e(g) x^-1, for every generator g.  ``targets``
     holds, for each leaf i, (j, k) when j is the one leaf letter of u_i,
     so u_i lies in D_j = <w_1, w_j> at position k (``dihedral_log``), or
-    None when u_i has no leaf letter or more than one.  When e(1) = 1,
-    ``inner`` is None, ``conjugates`` holds e's images in normal form and
-    ``targets`` is empty.
+    None when u_i has no leaf letter or more than one.
     """
 
     inner: object
     conjugates: tuple
     targets: tuple
-
-
-def _conjugate(sys: CoxeterSystem, x: Word, xinv: Word, w: Word, budget: int) -> Word:
-    """Normal form of x w x^-1, with ``xinv`` = x^-1.
-
-    Equal letters cancel across the seams x | w and w | x^-1 first, found
-    by comparing letters.  That is a free reduction, so the element stays
-    the same, and ``_reduce`` reads only what is left."""
-    n = len(x)
-    a = 0  # letters cancelled at x | w
-    top = min(n, len(w))
-    while a < top and x[-1 - a] == w[a]:
-        a += 1
-    b = 0  # letters cancelled at w | x^-1, among those left of w
-    top = min(n, len(w) - a)
-    while b < top and w[-1 - b] == x[-1 - b]:
-        b += 1
-    return _reduce(sys, x[: n - a] + w[a : len(w) - b] + xinv[b:], budget)
 
 
 def classify_endo(
@@ -274,31 +255,20 @@ def classify_endo(
     """Read an image list of a star once (see ``EndoClass``).
 
     x = ``involution_to_base``(e(1)), u_g = x e(g) x^-1 for every
-    generator g, and each leaf's target j and exponent k, or the trivial
-    map when e(1) = 1.  By the fixed-tree argument (module docstring) e
-    is an endomorphism exactly when every image is trivial, or when
-    every leaf's u_i is a reflection w_1 (w_1 w_j)^k of one D_j, k = 0
-    allowed, with t_j / gcd(k, t_j) dividing t_i; ``verify_endo`` reads
-    that off.
+    generator g, and each leaf's target j and exponent k.  By the
+    fixed-tree argument (module docstring) e is an endomorphism with
+    e(1) != 1 exactly when every leaf's u_i is a reflection
+    w_1 (w_1 w_j)^k of one D_j, k = 0 allowed, with t_j / gcd(k, t_j)
+    dividing t_i; ``verify_endo`` reads that off.
 
     Every letter is checked before any reduction.  Raises
-    ``NotInvolution`` when e(1) is neither 1 nor an involution.
+    ``NotInvolution`` when e(1) is not an involution, 1 included.
     """
     sys = star.system
     _check_system(sys, e)
     images = [check_word(sys, w) for w in e.images]
-    try:
-        x = involution_to_base(star, images[0], budget)
-    except NotInvolution:
-        if _reduce(sys, images[0], budget) != ():
-            raise
-        return EndoClass(
-            inner=None,
-            conjugates=tuple(_reduce(sys, w, budget) for w in images),
-            targets=(),
-        )
-    xinv = inverse_word(x)
-    us = tuple(_conjugate(sys, x, xinv, w, budget) for w in images)
+    x = involution_to_base(star, images[0], budget)
+    us = tuple(_conjugate(sys, w, x, budget) for w in images)
     targets = []
     for u in us[1:]:
         leaf_letters = set(u) - {1}
@@ -322,27 +292,22 @@ def verify_endo(
     dividing t_i.  No relator word is reduced.  It returns what
     ``satisfies_relations`` returns, and raises the same first bad letter.
 
-    That needs a separate involution test only when a letter is bad:
     ``satisfies_relations`` reads image g, its letters and then whether
     it squares to 1, only once every earlier image has passed, so a bad
-    letter after an image that is no involution is never read.  With
-    every letter good the classification decides the test itself: an
-    image that is no involution is not 1, and its leaf's u_i is no
-    reflection.
+    letter after an image that is no involution is never read.  So a
+    bad letter is handed to it; its first loop stops at the bad letter
+    or earlier, before any relator is reduced.  With every letter good
+    the classification decides the test itself: an image that is no
+    involution is not 1, and its leaf's u_i is no reflection.
     """
     try:
         c = classify_endo(star, e, budget)
     except NotInvolution:
-        return False
+        # every letter is checked; e(1) = 1 forces every image to be 1, and
+        # any() stops at an e(1) that is not 1
+        return not any(_reduce(star.system, w, budget) for w in e.images)
     except BadLetter:
-        sys = star.system
-        for w in e.images:
-            u = _strip(check_word(sys, w))
-            if _reduce(sys, u + u, budget) != ():
-                return False
-        raise
-    if c.inner is None:
-        return not any(c.conjugates)
+        return satisfies_relations(star.system, e, budget)
     for i, u, target in zip(star.leaves, c.conjugates[1:], c.targets):
         if u == (1,):
             continue
@@ -617,11 +582,6 @@ def factorize(
         c = classify_endo(star, e, budget)
     except NotInvolution as exc:
         raise NotAutomorphism(f"center image is not an involution: {exc}") from exc
-    if c.inner is None:
-        raise NotAutomorphism(
-            "center image is not an involution: "
-            "the identity is not a nontrivial involution"
-        )
     for i, u, target in zip(star.leaves, c.conjugates[1:], c.targets):
         if target is None:
             raise NotAutomorphism(

@@ -76,10 +76,6 @@ class NotInvolution(OddCoxeterError):
     slug = "not-involution"
 
 
-class NoDescentStep(OddCoxeterError):
-    slug = "no-descent-step"
-
-
 class NotInParabolic(OddCoxeterError):
     slug = "not-in-parabolic"
 

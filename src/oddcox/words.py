@@ -126,15 +126,34 @@ builds its words from letters already checked calls ``_reduce`` directly.
 Conjugation is fixed as ``conjugate(v, x) = x v x^-1`` throughout the
 package; the inner map induced by ``x`` sends g to x g x^-1.
 
-If s is a left descent of a reflection t other than s, then
-length(s t s) = length(t) - 2, and in an odd tree group every involution
-is a reflection (a finite subgroup lies in a conjugate of a generator or
-of an odd dihedral edge); ``involution_to_base`` rests on both facts.
-It also rests on the factor lemma: every factor of a canonical word is
-canonical, since a ShortLex-lesser reduced spelling of the factor would
-give a ShortLex-lesser reduced spelling of the word.  So s v s is v
-without its end letters whenever a canonical v starts and ends with s,
-and that step needs no reduction.
+The reversal lemma, for a star (center 1, leaves 2..n, every leaf pair
+unbounded): the reversal of a canonical word is canonical, so the
+canonical word of an involution is a palindrome.  Call a maximal
+alternating {1, x} run of exactly m(1, x) letters a site; every other
+pair is unbounded, so sites are the only factors a braid move can
+rewrite.  A word is canonical exactly when it has no equal adjacent
+pair, no {1, x} run longer than m(1, x), and every site starts with 1
+(as the exponent is odd, it then ends with 1).  That description is the
+same read from either end, so the lemma follows from it.  A canonical
+word has it: flipping a site (x 1 ... x) to (1 x ... 1) would spell the
+element with a lesser letter at the site's start.  Conversely let w
+have it, and flip a set F of sites no two of which share a letter.  The
+new end letters x of a flipped site meet leaves other than x, an
+unbounded pair, and a site that shared its end 1 with a flipped site
+loses that letter; so the sites of w_F are the flipped sites of F and
+the sites of w that share no letter with them, and no run grows.  So
+the words w_F are closed under braid moves and none has an equal
+adjacent pair: by Tits' solution of the word problem, w is reduced and
+the w_F are all its reduced spellings.  w_F first differs from w at the
+first letter of its leftmost flipped site, where w has 1, so w is the
+least.  Now v = v^-1 exactly when the canonical word of v equals that
+of v^-1, its reversal.  ``involution_to_base`` rests on this and on the
+factor lemma: a factor of a canonical word is canonical, since a
+ShortLex-lesser reduced spelling of the factor would give a
+ShortLex-lesser reduced spelling of the word.  So for a canonical
+palindrome v = s u s the conjugate s v s is u as it stands, canonical
+and a palindrome again, and peeling end letters reaches the middle
+letter with no reduction.
 """
 
 from __future__ import annotations
@@ -144,7 +163,6 @@ from typing import Sequence
 from .core import CoxeterSystem, StarForm
 from .errors import (
     BadLetter,
-    NoDescentStep,
     NotInParabolic,
     NotInvolution,
     OrbitBudgetExceeded,
@@ -436,6 +454,28 @@ def conjugate(
     return reduce_word(sys, x + tuple(v) + inverse_word(x), budget)
 
 
+def _conjugate(sys: CoxeterSystem, v: Word, x: Word, budget: int) -> Word:
+    """Canonical form of x v x^-1, for words already checked.
+
+    Equal letters cancel across the seams x | v and v | x^-1 first, found
+    by comparing letters.  That is a free reduction, so the element stays
+    the same, and ``_reduce`` reads only what is left.  ``autkit``
+    conjugates every image of a map by one long x, where the seams
+    cancel much of x.  ``conjugate`` does not cut: a ball search
+    conjugates by one letter and seldom cancels, so the cut only adds
+    work there."""
+    n = len(x)
+    a = 0  # letters cancelled at x | v
+    top = min(n, len(v))
+    while a < top and x[-1 - a] == v[a]:
+        a += 1
+    b = 0  # letters cancelled at v | x^-1, among those left of v
+    top = min(n, len(v) - a)
+    while b < top and v[-1 - b] == x[-1 - b]:
+        b += 1
+    return _reduce(sys, x[: n - a] + v[a : len(v) - b] + inverse_word(x)[b:], budget)
+
+
 def left_descents(
     sys: CoxeterSystem, word: Sequence[int], budget: int = DEFAULT_ORBIT_BUDGET
 ) -> set:
@@ -459,53 +499,29 @@ def involution_to_base(
 ) -> Word:
     """Conjugator x with x v x^-1 equal to the center generator.
 
-    Works by length descent.  Every involution v is a reflection s_beta:
-    a finite subgroup lies in a conjugate of a finite standard parabolic,
-    here a generator or an odd dihedral edge, whose involutions are all
-    reflections.  While v is longer than one letter, its first letter s
-    is its least left descent, and v(alpha_s) < 0 forces
-    B(alpha_s, beta) > 0, so (s v)(alpha_s) = -alpha_s -
-    2 B(alpha_s, beta) s(beta) < 0 and length(s v s) = length(v) - 2;
-    a length that does not drop by 2 raises ``NoDescentStep``.
-    Conjugating by s and repeating reaches a single generator.  A leaf
-    generator is finally moved to the center by the dihedral shift
-    c = (w_leaf w_1)^((t - 1)/2), which conjugates the leaf to the center
-    inside their finite dihedral subgroup.
-
-    The factor lemma: a factor of a ShortLex-least reduced word is
-    ShortLex-least reduced, since a lesser spelling of the factor would
-    give a lesser spelling of the word.  So when the canonical v starts
-    and ends with the same letter s, s v s is v without its end letters,
-    as it stands, and only a v whose end letters differ is reduced.  The
-    descent keeps v as a window on one canonical word and takes a factor
-    in constant time, so a palindromic v of length L costs O(L), not
-    L / 2 reductions of up to L letters.
+    By the reversal lemma (module docstring) v is an involution exactly
+    when its canonical word is a palindrome, s_1 ... s_h j s_h ... s_1,
+    and then x = s_h ... s_1 gives x v x^-1 = j with no reduction: the
+    halves cancel letter by letter.  Each peel s v s is v without its end
+    letters, canonical by the factor lemma, so this is the length descent
+    that reduces s v s at every step, taken all at once.  A leaf j is
+    finally moved to the center by the dihedral shift
+    c = (w_j w_1)^((t - 1)/2), which conjugates the leaf to the center
+    inside their finite dihedral subgroup.  So the canonical word is read
+    once, not reduced once for every letter peeled off it, and only x
+    itself is reduced.
     """
     sys = star.system
     cur = reduce_word(sys, v, budget)
     if cur == ():
         raise NotInvolution("the identity is not a nontrivial involution")
-    if _reduce(sys, cur + cur, budget) != ():
+    if cur != cur[::-1]:
         raise NotInvolution("word does not square to the identity")
-    acc: list[int] = []  # the conjugating letters, first one first
-    lo, hi = 0, len(cur) - 1  # the window cur[lo : hi + 1] is canonical v
-    while lo < hi:
-        s = cur[lo]
-        acc.append(s)
-        if cur[hi] == s:  # the factor lemma
-            lo, hi = lo + 1, hi - 1
-            continue
-        cand = _reduce(sys, (s,) + cur[lo : hi + 1] + (s,), budget)
-        if len(cand) != hi - lo - 1:
-            raise NoDescentStep(
-                "no generator shortens the involution; input is inconsistent"
-            )
-        cur, lo, hi = cand, 0, len(cand) - 1
-    j = cur[lo]
-    x = tuple(reversed(acc))
+    half = len(cur) // 2
+    x = cur[:half][::-1]
+    j = cur[half]
     if j != 1:
-        t = star.t_of(j)
-        x = alternating(j, 1, t - 1) + x
+        x = alternating(j, 1, star.t_of(j) - 1) + x
     return _reduce(sys, x, budget)
 
 

@@ -228,8 +228,25 @@ def test_classify_endo_reads_the_conjugator_the_conjugates_and_the_targets():
     assert c.inner == x
     assert c.conjugates == ((1,), (1, 2, 1), (3, 1, 3, 1, 3, 1, 3))
     assert c.targets == ((2, 2), (3, 4))
-    trivial = classify_endo(s, make_endo(s.system, [(), (2, 2), ()]))
-    assert (trivial.inner, trivial.conjugates, trivial.targets) == (None, ((),) * 3, ())
+    trivial = make_endo(s.system, [(), (2, 2), ()])
+    assert outcome(classify_endo, s, trivial) == (
+        "NotInvolution",
+        "the identity is not a nontrivial involution",
+    )
+
+
+def test_a_trivial_center_image_is_refused_before_any_other_image_is_reduced():
+    s = star(3, 5)
+    e = make_endo(s.system, [(), (2, 1, 2, 1), ()])
+    refusal = (
+        "NotAutomorphism",
+        "center image is not an involution: the identity is not a nontrivial involution",
+    )
+    assert outcome(factorize, s, e, 0) == refusal
+    assert outcome(try_invert, s, e, 0) == (
+        "NotSurjective",
+        f"endomorphism is not onto: {refusal[1]}",
+    )
 
 
 def test_a_bad_letter_after_an_image_that_is_no_involution_is_not_read():
@@ -292,10 +309,10 @@ def test_a_long_inner_word_factors_with_few_reductions(monkeypatch, length):
 
 
 @pytest.mark.parametrize("labels, radius", [((3, 3), 9), ((3, 5), 9), ((5, 5, 5), 7)])
-def test_canonical_involutions_of_a_star_are_palindromes(labels, radius):
-    """So the descent in ``involution_to_base`` takes a factor at every
-    step on these balls, and never reduces s v s."""
+def test_canonical_words_of_a_star_reverse_to_canonical_words(labels, radius):
+    """The reversal lemma of ``words``, so a canonical involution is a
+    palindrome, and a canonical palindrome is an involution."""
     sys = star(*labels).system
     for v in cayley_ball(sys, radius).elements:
-        if len(v) % 2 and reduce_word(sys, v + v) == ():
-            assert v == v[::-1], v
+        assert reduce_word(sys, v[::-1]) == v[::-1], v
+        assert (v == v[::-1]) is (reduce_word(sys, v + v) == ()), v
