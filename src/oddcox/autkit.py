@@ -58,6 +58,13 @@ product is exact, this certifies the returned images exactly, with no
 image-level composition.  ``outer_key`` names the outer class of f, and
 ``is_inner`` asks whether that class is trivial.
 
+Factors are validated once per public call, by ``_checked``: each public
+function that takes an ``AutFactorization`` checks it on entry, and the
+private bodies ``_recompose`` and ``_compose_factors`` trust factors
+already checked.  So ``try_invert`` checks f once in ``factorize`` and
+once in ``invert_factorization``, and the inverse, which that builds
+from checked factors, is not checked again.
+
 ``apply`` and ``compose`` work on any image list: they substitute each
 letter's image letter by letter and reduce the substituted word once.
 ``satisfies_relations`` decides the relators on any system, star or
@@ -349,11 +356,12 @@ def _normalize_perm(star: StarForm, perm) -> tuple:
         images = list(perm)
     if sorted(images) != list(star.leaves):
         raise BlockViolatingPermutation(f"{images} is not a permutation of the leaves")
+    t = star.t
     for leaf, image in zip(star.leaves, images):
-        if star.t_of(leaf) != star.t_of(image):
+        if t[leaf - 2] != t[image - 2]:
             raise BlockViolatingPermutation(
-                f"leaf {leaf} (label {star.t_of(leaf)}) may not map to "
-                f"{image} (label {star.t_of(image)})"
+                f"leaf {leaf} (label {t[leaf - 2]}) may not map to "
+                f"{image} (label {t[image - 2]})"
             )
     return tuple(images)
 
@@ -376,8 +384,7 @@ def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
         raise BadThetaExponent(
             f"expected {star.rank - 1} exponents, got {len(cvec)}"
         )
-    for leaf, k in zip(star.leaves, cvec):
-        t = star.t_of(leaf)
+    for leaf, t, k in zip(star.leaves, star.t, cvec):
         if not (1 <= k < t) or math.gcd(k, t) != 1:
             raise BadThetaExponent(f"exponent {k} invalid for leaf {leaf}")
     return tuple(cvec)
@@ -471,8 +478,13 @@ def _checked(star: StarForm, f: AutFactorization) -> AutFactorization:
 def recompose(
     star: StarForm, f: AutFactorization, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
+    """The images of the factored automorphism, each x^-1 core x reduced."""
+    return _recompose(star, _checked(star, f), budget)
+
+
+def _recompose(star: StarForm, f: AutFactorization, budget: int) -> Endomorphism:
+    """``recompose`` of factors that ``_checked`` has already validated."""
     sys = star.system
-    f = _checked(star, f)
     if not f.inner:
         # a core is canonical already: reducing it would take no step
         return Endomorphism(
@@ -529,7 +541,14 @@ def compose_factors(
       so psi1 o psi2 = graph(pi1 o pi2) o exponent_product(c), with
       c(i) = c1(pi2(i)) c2(i) mod t_i.
     """
-    f1, f2 = _checked(star, f1), _checked(star, f2)
+    return _compose_factors(star, _checked(star, f1), _checked(star, f2), budget)
+
+
+def _compose_factors(
+    star: StarForm, f1: AutFactorization, f2: AutFactorization, budget: int
+) -> AutFactorization:
+    """``compose_factors`` of factors that ``_checked`` has already
+    validated."""
     psi1 = AutFactorization(inner=(), cvec=f1.cvec, perm=f1.perm)
     inner = _reduce(star.system, _spell(star, psi1, f2.inner) + list(f1.inner), budget)
     return AutFactorization(
@@ -707,16 +726,19 @@ def try_invert(
     psi o psi^-1 on x as well as perm and cvec, whereas the inner word of
     g o f, psi^-1(x) followed by its reversal, reduces to () by
     construction; and f and g are automorphisms, so a one-sided inverse
-    is two-sided.
+    is two-sided.  ``factorize`` returns f checked and
+    ``invert_factorization`` builds g from checked factors, so the
+    product and the recomposition take both through the private bodies
+    with no second check.
     """
     try:
         f = factorize(star, e, budget)
     except NotAutomorphism as exc:
         raise NotSurjective(f"endomorphism is not onto: {exc}") from exc
     inverse = invert_factorization(star, f, budget)
-    if not _is_identity(star, compose_factors(star, f, inverse, budget)):
+    if not _is_identity(star, _compose_factors(star, f, inverse, budget)):
         raise NotSurjective("inverse check failed; endomorphism is not onto")
-    return recompose(star, inverse, budget)
+    return _recompose(star, inverse, budget)
 
 
 # automorphism file format: {"images": [[1], [1, 2, 1], [3]]}

@@ -134,8 +134,9 @@ class CoxeterSystem(_Record):
     ``edges`` is the sorted tuple of (i, j, m) with i < j and m finite;
     edges given in any order or orientation are normalized to it, so two
     systems are equal exactly when their exponent matrices are.  The
-    neighbour map ``_rows`` and the key table ``_blocking`` are derived
-    from the edges and are not fields.
+    neighbour map ``_rows``, the key table ``_blocking`` and the flag
+    ``_star``, true when every finite edge contains generator 1, are
+    derived from the edges and are not fields.
     """
 
     rank: int
@@ -182,6 +183,9 @@ class CoxeterSystem(_Record):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_blocking", blocking)
+        # a star centred at 1, where the stack pass certifies by the words
+        # module docstring's reversal lemma
+        object.__setattr__(self, "_star", all(i == 1 for i, _, _ in edges))
 
     def m(self, i: int, j: int):
         """Exponent of the pair (i, j), 1-indexed."""

@@ -83,6 +83,17 @@ and stops at d, which no flip changes.  The same holds for B's flip
 and c, so two flips at least two letters apart that pass (c) do not
 meet.
 
+On a star centred at 1, where every finite edge contains generator 1
+(``CoxeterSystem._star``), the certificate is test (a) alone.  There
+every site is a {1, x} run and (a) says it starts with 1, and the
+reversal lemma below proves that a stack-pass word is canonical exactly
+when every site does, sites that share a letter included, such as
+(1 2 1 3 1) with m(1, 2) = m(1, 3) = 3.  (Two such sites cannot touch:
+the end of one and the start of the other would be an equal pair.)  So
+(b) and (c) are skipped there.  It changes no output and no step count: a certified word is
+canonical, and the automaton would have returned it with no step.  On
+other systems, paths and other trees, all three tests stay.
+
 The least-left-descent test.  Let u be a reduced word with state S, and
 x a letter that is not a left descent of u (alpha_x is not in S).
 Reading x creates alpha_x, and a simple root other than alpha_x only
@@ -248,13 +259,13 @@ def _stack_pass(sys: CoxeterSystem, word: Word, budget: int) -> tuple:
                 break
             x = pending.pop()
     out.append(0)  # a third sentinel, after the word
-    certified = not sites or _flips_are_free(rows, out, runs, sites)
+    certified = not sites or _flips_are_free(sys, out, runs, sites)
     del out[:2]
     out.pop()
     return out, 0 if certified else steps
 
 
-def _flips_are_free(rows: list, out: list, runs: list, records: list) -> bool:
+def _flips_are_free(sys: CoxeterSystem, out: list, runs: list, records: list) -> bool:
     """The flip certificate on the stack-pass word ``out``, between its
     sentinels, with run lengths ``runs``.
 
@@ -267,7 +278,15 @@ def _flips_are_free(rows: list, out: list, runs: list, records: list) -> bool:
     True when (a) each site starts with its smaller letter, (b) no two
     sites overlap or touch, and (c) no flip makes a new site at either
     end of its site (``_flip_end_is_free``).
+
+    On a star centred at 1 (``sys._star``) test (a) alone decides,
+    sites that share a letter included: by the module docstring's
+    reversal lemma a stack-pass word there is canonical exactly when
+    every site starts with 1.  A word so certified is canonical, so the
+    automaton would return it with no step, and skipping (b) and (c)
+    changes no output and no step count.
     """
+    rows, star = sys._rows, sys._star
     sites = []  # (start, end, larger letter), right to left
     # stop: the letter before the site to the right; at first the sentinel
     low = stop = len(out) - 1
@@ -279,7 +298,11 @@ def _flips_are_free(rows: list, out: list, runs: list, records: list) -> bool:
         m = runs[end]
         if m != rows[a].get(b):
             continue
-        if a > b or end >= stop:
+        if a > b:
+            return False
+        if star:
+            continue
+        if end >= stop:
             return False
         stop = end - m
         sites.append((stop + 1, end, b))
