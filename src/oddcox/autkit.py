@@ -47,6 +47,17 @@ x e(g) x^-1 first cancels equal letters across its two seams, found by
 comparing letters (``words._conjugate``); that is a free reduction, so
 it is exact, and the word engine reads only what is left.
 
+Each record is classified once per budget.  ``classify_endo`` stores a
+successful classification on the ``Endomorphism`` itself, as a derived
+attribute that is no field, keyed by the budget it was computed at: a
+call with the same budget returns it, a call with any other budget
+reads the images again and replaces it when that succeeds.  Refusals
+are not stored.  A record freezes its images when it is built and the
+word engine keeps no state, so the classification is a function of the
+record and the budget, and storing it is exact.  So ``verify_endo``,
+``factorize`` and the ``factorize`` inside ``try_invert``, called on one
+record, read its images once.
+
 Factored automorphisms also multiply in closed form: ``compose_factors``
 gives the factors of f1 o f2 with one reduction, of psi1(x2) x1, and
 ``invert_factorization`` is its inverse.  ``try_invert`` certifies the
@@ -117,8 +128,14 @@ class Endomorphism(_Record):
     """Generator-image list over a fixed ambient system.
 
     Building one checks that there is one image per generator, or raises
-    ``EndoFileError``.  The letters of an image are checked where they are
-    substituted, so the first bad letter raised is the first one read.
+    ``EndoFileError``, and then freezes each image with ``tuple()``, so
+    the images can never change after the record is built.  The letters
+    of an image are checked where they are substituted, so the first bad
+    letter raised is the first one read.
+
+    ``_classified`` is derived and not a field: None, or the pair
+    (budget, ``EndoClass``) that the last successful ``classify_endo``
+    call stored.  Equality, hash, repr and pickling read only the fields.
     """
 
     system: CoxeterSystem
@@ -128,6 +145,12 @@ class Endomorphism(_Record):
         rank, k = self.system.rank, len(self.images)
         if k != rank:
             raise EndoFileError(f"expected {rank} generator images, got {k}")
+        # tuple() of a tuple is the same object: library-built images cost nothing
+        object.__setattr__(self, "images", tuple(map(tuple, self.images)))
+        object.__setattr__(self, "_classified", None)
+
+    def __reduce__(self):
+        return Endomorphism, (self.system, self.images)
 
     def image_of(self, i: int):
         return self.images[i - 1]
@@ -135,7 +158,7 @@ class Endomorphism(_Record):
 
 def make_endo(sys: CoxeterSystem, images: Sequence[Sequence[int]]) -> Endomorphism:
     # building the record checks the count before any letter is checked
-    e = Endomorphism(system=sys, images=tuple(map(tuple, images)))
+    e = Endomorphism(system=sys, images=images)
     for word in e.images:
         check_word(sys, word)
     return e
@@ -270,9 +293,21 @@ def classify_endo(
 
     Every letter is checked before any reduction.  Raises
     ``NotInvolution`` when e(1) is not an involution, 1 included.
+
+    The classification is stored on e with its budget (``_classified``),
+    once e's system is checked against the star's.  A later call with
+    the same budget returns it; any other budget reads e again and, if
+    that succeeds, replaces it.  The result is a function of e and the
+    budget alone, since e's images are frozen and the word engine keeps
+    no state, so a stored classification is exact.  Only a success is
+    stored: a bad letter, a refused center image or an exceeded budget
+    is raised afresh by every call.
     """
     sys = star.system
     _check_system(sys, e)
+    stored = e._classified
+    if stored is not None and stored[0] == budget:
+        return stored[1]
     images = [check_word(sys, w) for w in e.images]
     x = involution_to_base(star, images[0], budget)
     us = tuple(_conjugate(sys, w, x, budget) for w in images)
@@ -284,7 +319,9 @@ def classify_endo(
             continue
         (j,) = leaf_letters
         targets.append((j, _dihedral_position(star.t_of(j), u)[1]))
-    return EndoClass(inner=x, conjugates=us, targets=tuple(targets))
+    c = EndoClass(inner=x, conjugates=us, targets=tuple(targets))
+    object.__setattr__(e, "_classified", (budget, c))
+    return c
 
 
 def verify_endo(
@@ -774,4 +811,4 @@ def endo_from_json(sys: CoxeterSystem, text: str) -> Endomorphism:
                     f"images[{idx}]: letter {letter} out of range 1..{sys.rank}"
                 )
     # every letter is checked above, so the words are the images as they stand
-    return Endomorphism(system=sys, images=tuple(map(tuple, images)))
+    return Endomorphism(system=sys, images=images)
