@@ -9,7 +9,9 @@ where perm permutes leaves within blocks of equal exponent and cvec
 collects, per leaf i, the exponent k of the reflection map
 w_i -> w_1 (w_1 w_i)^k.  The factors spell each image as x^-1 core x,
 where a core is the ShortLex normal form of the center or of
-w_1 (w_1 w_j)^k, read off from k and t_j alone.
+w_1 (w_1 w_j)^k, read off from k and t_j alone.  ``recompose`` reduces x
+once and joins the canonical words x^-1, core and x at their two seams
+(``words._joined``), so it reduces an image only when a seam fails.
 
 ``classify_endo`` reads an image list of a star once: the conjugator x
 with x e(1) x^-1 = w_1 (``involution_to_base``), the normal form u_g of
@@ -42,10 +44,10 @@ off the conjugates, validates them with ``_checked`` (the validator
 core of g letter for letter; failure of any step is reported as
 ``NotAutomorphism``, which doubles as the non-surjectivity detector
 used by ``try_invert``.  Inverses and normality witnesses are computed
-from the three factors, so each image is reduced once.  A conjugate
-x e(g) x^-1 first cancels equal letters across its two seams, found by
-comparing letters (``words._conjugate``); that is a free reduction, so
-it is exact, and the word engine reads only what is left.
+from the three factors.  A conjugate x e(g) x^-1 of an image, whose
+letters are not known to be canonical, first cancels equal letters
+across its two seams (``words._conjugate``), a free reduction, and the
+word engine reads only what is left.
 
 Each record is classified once per budget.  ``classify_endo`` stores a
 successful classification on the ``Endomorphism`` itself, as a derived
@@ -74,21 +76,17 @@ function that takes an ``AutFactorization`` checks it on entry, and the
 private bodies ``_recompose`` and ``_compose_factors`` trust factors
 already checked.  So ``try_invert`` checks f once in ``factorize`` and
 once in ``invert_factorization``, and the inverse, which that builds
-from checked factors, is not checked again.
+from checked factors, is not checked again.  ``inner_auto``,
+``graph_auto`` and ``theta_product`` check only the factor they are
+given: the identity permutation and all-ones vector they fill in are
+valid by construction.
 
 ``apply`` and ``compose`` work on any image list: they substitute each
 letter's image letter by letter and reduce the substituted word once.
 ``satisfies_relations`` decides the relators on any system, star or
 not (``pathgroups.pl_witness`` uses it), and tests each relator on a
-short conjugate instead of reducing a word 2m images long.  For a
-generator s, (s w s)^k = s w^k s, so w^k = 1 exactly when the word u left
-after taking equal end letters off w pairwise has u^k = 1.  It strips each
-image for the relator (g g), and the canonical form of e(i) e(j) for the
-edge relator (i j)^m.  A stripped canonical word is reduced, so on one or
-two letters it alternates and its order is that of a dihedral element:
-2 at odd length, and m(a, b) / gcd(k, m(a, b)) at length 2k, or infinite
-when m(a, b) is.  Only on three or more letters is u^m reduced.
-``recompose`` with an empty inner word returns the cores as they stand.
+short conjugate, as its docstring proves, instead of reducing a word 2m
+images long.
 
 Composition convention: compose(e1, e2) applies e2 first.
 """
@@ -116,6 +114,7 @@ from .words import (
     Word,
     _conjugate,
     _dihedral_position,
+    _joined,
     _reduce,
     alternating,
     check_word,
@@ -158,14 +157,14 @@ class Endomorphism(_Record):
 
 def make_endo(sys: CoxeterSystem, images: Sequence[Sequence[int]]) -> Endomorphism:
     # building the record checks the count before any letter is checked
-    e = Endomorphism(system=sys, images=images)
+    e = Endomorphism(sys, images)
     for word in e.images:
         check_word(sys, word)
     return e
 
 
 def identity_endo(sys: CoxeterSystem) -> Endomorphism:
-    return Endomorphism(system=sys, images=tuple((i,) for i in sys.generators))
+    return Endomorphism(sys, tuple((i,) for i in sys.generators))
 
 
 def _substituted(
@@ -319,7 +318,7 @@ def classify_endo(
             continue
         (j,) = leaf_letters
         targets.append((j, _dihedral_position(star.t_of(j), u)[1]))
-    c = EndoClass(inner=x, conjugates=us, targets=tuple(targets))
+    c = EndoClass(x, us, tuple(targets))
     object.__setattr__(e, "_classified", (budget, c))
     return c
 
@@ -371,8 +370,7 @@ def inner_auto(
     # check before reversing, so a bad letter is reported in the order given
     xinv = inverse_word(check_word(star.system, x))
     ones = (1,) * (star.rank - 1)
-    f = AutFactorization(inner=xinv, cvec=ones, perm=tuple(star.leaves))
-    return recompose(star, f, budget)
+    return _recompose(star, AutFactorization(xinv, ones, tuple(star.leaves)), budget)
 
 
 def theta_auto(star: StarForm, i: int, k: int) -> Endomorphism:
@@ -405,14 +403,14 @@ def _normalize_perm(star: StarForm, perm) -> tuple:
 
 def graph_auto(star: StarForm, perm) -> Endomorphism:
     """Diagram symmetry: permutes leaves within equal-label blocks."""
-    ones = (1,) * (star.rank - 1)
-    return recompose(star, AutFactorization(inner=(), cvec=ones, perm=perm))
+    f = AutFactorization((), (1,) * (star.rank - 1), _normalize_perm(star, perm))
+    return _recompose(star, f, DEFAULT_ORBIT_BUDGET)
 
 
 def theta_product(star: StarForm, cvec: Sequence[int]) -> Endomorphism:
     """Product of leaf maps with the given exponents, ascending leaf order."""
-    identity = tuple(star.leaves)
-    return recompose(star, AutFactorization(inner=(), cvec=tuple(cvec), perm=identity))
+    f = AutFactorization((), _check_cvec(star, tuple(cvec)), tuple(star.leaves))
+    return _recompose(star, f, DEFAULT_ORBIT_BUDGET)
 
 
 def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
@@ -447,9 +445,7 @@ def compose(
         _substituted(sys, e1, check_word(sys, e2.image_of(g)), images)
         for g in sys.generators
     ]
-    return Endomorphism(
-        system=sys, images=tuple(_reduce(sys, w, budget) for w in words)
-    )
+    return Endomorphism(sys, tuple(_reduce(sys, w, budget) for w in words))
 
 
 class AutFactorization(_Record):
@@ -492,6 +488,17 @@ def _core(star: StarForm, f: AutFactorization, g: int) -> Word:
     return alternating(1, j, 2 * (t - k) + 1)
 
 
+def _cores(star: StarForm, f: AutFactorization) -> list:
+    """``_core`` of every generator, in generator order, spelled in one
+    loop over (perm, cvec, t)."""
+    return [(1,)] + [
+        alternating(j, 1, 2 * k - 1)
+        if 2 * k < t + 1
+        else alternating(1, j, 2 * (t - k) + 1)
+        for j, k, t in zip(f.perm, f.cvec, star.t)
+    ]
+
+
 def _spell(star: StarForm, f: AutFactorization, word: Sequence[int]) -> list:
     """x^-1 psi(word) x letter by letter, unreduced, with x = f.inner and
     psi = graph(perm) o exponent_product(cvec) sending g to ``_core``."""
@@ -507,32 +514,31 @@ def _checked(star: StarForm, f: AutFactorization) -> AutFactorization:
     exponents and the inner word are validated, in that order."""
     perm = _normalize_perm(star, f.perm)
     cvec = _check_cvec(star, f.cvec)
-    return AutFactorization(
-        inner=check_word(star.system, f.inner), cvec=cvec, perm=perm
-    )
+    return AutFactorization(check_word(star.system, f.inner), cvec, perm)
 
 
 def recompose(
     star: StarForm, f: AutFactorization, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
-    """The images of the factored automorphism, each x^-1 core x reduced."""
+    """The images of the factored automorphism, each x^-1 core x joined
+    at its seams and reduced only when a seam fails (``_recompose``)."""
     return _recompose(star, _checked(star, f), budget)
 
 
 def _recompose(star: StarForm, f: AutFactorization, budget: int) -> Endomorphism:
-    """``recompose`` of factors that ``_checked`` has already validated."""
+    """``recompose`` of factors that ``_checked`` has already validated.
+
+    The inner word is reduced once to x, a read with no step when it is
+    canonical.  x^-1 (by the reversal lemma of ``words``) and every core
+    are canonical too, so ``words._joined`` joins each image x^-1 core x
+    at its two seams; with x empty the cores are the images."""
     sys = star.system
-    if not f.inner:
-        # a core is canonical already: reducing it would take no step
-        return Endomorphism(
-            system=sys, images=tuple(_core(star, f, g) for g in sys.generators)
-        )
-    return Endomorphism(
-        system=sys,
-        images=tuple(
-            _reduce(sys, _spell(star, f, (g,)), budget) for g in sys.generators
-        ),
-    )
+    x = _reduce(sys, f.inner, budget)
+    cores = _cores(star, f)
+    if x:
+        xinv = x[::-1]
+        cores = [_joined(sys, (xinv, core, x), budget) for core in cores]
+    return Endomorphism(sys, cores)
 
 
 def invert_factorization(
@@ -551,13 +557,11 @@ def invert_factorization(
     """
     f = _checked(star, f)
     back = {j: i for i, j in zip(star.leaves, f.perm)}
-    psi = AutFactorization(
-        inner=(),
-        cvec=tuple(pow(f.cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
-        perm=tuple(back[g] for g in star.leaves),
-    )
+    perm = tuple(back[g] for g in star.leaves)
+    cvec = tuple(pow(f.cvec[i - 2], -1, t) for i, t in zip(perm, star.t))
+    psi = AutFactorization((), cvec, perm)
     image = _reduce(star.system, _spell(star, psi, f.inner), budget)
-    return AutFactorization(inner=inverse_word(image), cvec=psi.cvec, perm=psi.perm)
+    return AutFactorization(inverse_word(image), cvec, perm)
 
 
 def compose_factors(
@@ -586,16 +590,10 @@ def _compose_factors(
 ) -> AutFactorization:
     """``compose_factors`` of factors that ``_checked`` has already
     validated."""
-    psi1 = AutFactorization(inner=(), cvec=f1.cvec, perm=f1.perm)
+    psi1 = AutFactorization((), f1.cvec, f1.perm)
     inner = _reduce(star.system, _spell(star, psi1, f2.inner) + list(f1.inner), budget)
-    return AutFactorization(
-        inner=inner,
-        cvec=tuple(
-            f1.cvec[j - 2] * k % star.t_of(i)
-            for i, j, k in zip(star.leaves, f2.perm, f2.cvec)
-        ),
-        perm=tuple(f1.perm[j - 2] for j in f2.perm),
-    )
+    cvec = tuple(f1.cvec[j - 2] * k % t for t, j, k in zip(star.t, f2.perm, f2.cvec))
+    return AutFactorization(inner, cvec, tuple(f1.perm[j - 2] for j in f2.perm))
 
 
 def factorize(
@@ -616,11 +614,11 @@ def factorize(
        gives the exponent k.  ``_checked``
        then validates the read factors: perm must be a block-respecting
        permutation of the leaves and every k a unit mod its label.
-    4. Certify: every u_g must be ``_core(star, f, g)`` letter for letter.
+    4. Certify: every u_g must be the core of g (``_cores``) letter for letter.
 
     The certificate is the recomposition check.  As elements,
     x e(g) x^-1 = core exactly when e(g) = x^-1 core x, the recomposed image
-    of g; each element has one ShortLex normal form and ``_core`` spells it,
+    of g; each element has one ShortLex normal form and ``_cores`` spells it,
     so the words agree exactly when the elements do.  The center's
     comparison also certifies the conjugator x.  A core is a reflection of
     <w_1, w_j>, spelled with an odd number of letters, and a rotation with
@@ -647,11 +645,11 @@ def factorize(
     perm = [j for j, _ in c.targets]
     cvec = [k for _, k in c.targets]
     try:
-        f = _checked(star, AutFactorization(inner=c.inner, cvec=cvec, perm=perm))
+        f = _checked(star, AutFactorization(c.inner, cvec, perm))
     except (BlockViolatingPermutation, BadThetaExponent) as exc:
         raise NotAutomorphism(str(exc)) from exc
-    for g, u in zip(sys.generators, c.conjugates):
-        if u != _core(star, f, g):
+    for g, u, core in zip(sys.generators, c.conjugates, _cores(star, f)):
+        if u != core:
             raise NotAutomorphism(
                 f"recomposition differs from the input on generator {g}"
             )
@@ -725,9 +723,7 @@ def normality_witness(
         kernel_check = tuple(mapping[letter - 1] for letter in g)
         if _reduce(quotient, kernel_check, budget) != ():
             raise NoMergeWitness("witness candidate does not lie in the kernel")
-        return NormalityWitness(
-            g=g, merge=pair, evidence=evidence, quotient=quotient, mapping=mapping
-        )
+        return NormalityWitness(g, pair, evidence, quotient, mapping)
 
     for i in star.leaves:
         if f.perm_of(i) != i:
@@ -811,4 +807,4 @@ def endo_from_json(sys: CoxeterSystem, text: str) -> Endomorphism:
                     f"images[{idx}]: letter {letter} out of range 1..{sys.rank}"
                 )
     # every letter is checked above, so the words are the images as they stand
-    return Endomorphism(system=sys, images=images)
+    return Endomorphism(sys, images)

@@ -165,6 +165,37 @@ ShortLex-lesser reduced spelling of the word.  So for a canonical
 palindrome v = s u s the conjugate s v s is u as it stands, canonical
 and a palindrome again, and peeling end letters reaches the middle
 letter with no reduction.
+
+The seam corollary, for canonical words p_1, ..., p_r on a star.  Append
+them in turn, cancelling equal letters across each seam, a free
+reduction, and call the result w.  What is left of each piece is a factor
+of it, canonical by the factor lemma, and w has no equal adjacent pair:
+none inside a fragment, and none at a seam, where cancelling stopped.  A
+maximal alternating run of w that holds no seam lies inside one fragment
+and is maximal there, so it has at most m letters and starts with 1 if
+it has m.  So when every maximal run through a seam does the same, w
+has the reversal lemma's description and is canonical.  ``_joined``
+checks just those runs.  A piece that cancels to nothing leaves one seam
+between its neighbours, and a seam that a later piece cancels past is
+gone; the check reads the seams of w as it stands.
+
+A certified join skips no step.  ``_reduce`` of w would take none: its
+stack pass rewrites nothing in w and certifies it by test (a).  Nor
+would ``_reduce`` of the plain concatenation x^-1 c x that
+``autkit._recompose`` joins, with x canonical and c a core, an
+alternating palindrome on {1, j} of at most m(1, j) letters or (1).  Its
+stack pass cancels the same letters, which costs no step, and rewrites
+only when an appended letter ends a run of more than m letters.  Every
+letter it appends ends a run of x^-1, of w (each passes) or of c, but
+for the letters of c that x cancels later.  Say q letters of c cancel
+against x^-1, so x = c[:q] y.  With q = 0 nothing cancels at either
+seam, since x[0] = c[0] = c[-1] would cancel against x^-1 first.
+With 0 < q < |c| the letter y[0] is neither c[q] (cancelling stopped)
+nor c[q - 1] (x is reduced), so it is a leaf l outside c.  The run that
+c[q] ends is then c[q] after the reversed {l, c[q]} run that starts y:
+unbounded when c[q] = j, and when c[q] = 1 a run of x that starts with
+a leaf, so of at most m - 1 letters.  Every later letter of c ends a
+run inside c.
 """
 
 from __future__ import annotations
@@ -497,6 +528,54 @@ def _conjugate(sys: CoxeterSystem, v: Word, x: Word, budget: int) -> Word:
     while b < top and v[-1 - b] == x[-1 - b]:
         b += 1
     return _reduce(sys, x[: n - a] + v[a : len(v) - b] + inverse_word(x)[b:], budget)
+
+
+def _joined(sys: CoxeterSystem, pieces: Sequence[Word], budget: int) -> Word:
+    """Canonical form of the concatenation of canonical words, given as
+    tuples, on a star centred at 1 (``sys._star``).
+
+    Equal letters cancel across each seam as a piece is appended, a free
+    reduction, so the element stays the same.  Then each maximal
+    alternating run through a seam that is left must have at most m
+    letters, and start with 1 if it has exactly m.  When every seam
+    passes, the word is canonical by the seam corollary (module
+    docstring) and is returned as it stands; otherwise ``_reduce`` reads
+    it."""
+    rows = sys._rows
+    out: Word = ()
+    seams: list = []  # each index p with out[p - 1] and out[p] from two pieces
+    for piece in pieces:
+        if not piece:
+            continue
+        n = len(out)
+        if n and out[-1] == piece[0]:
+            i, top = 1, len(piece)
+            n -= 1
+            while i < top and n and out[n - 1] == piece[i]:
+                n -= 1
+                i += 1
+            out = out[:n]
+            while seams and seams[-1] >= n:
+                seams.pop()
+            if i == top:  # the piece cancelled to nothing
+                continue
+            piece = piece[i:]
+        if n:
+            seams.append(n)
+        out += piece
+    end = len(out) - 1
+    for p in seams:
+        m = rows[out[p - 1]].get(out[p])
+        if m is None:  # two leaves: their runs are unbounded
+            continue
+        lo, hi = p - 1, p
+        while lo and out[lo - 1] == out[lo + 1]:
+            lo -= 1
+        while hi < end and out[hi + 1] == out[hi - 1]:
+            hi += 1
+        if hi - lo + 1 > m or (hi - lo + 1 == m and out[lo] != 1):
+            return _reduce(sys, out, budget)
+    return out
 
 
 def left_descents(
