@@ -77,9 +77,8 @@ private bodies ``_recompose`` and ``_compose_factors`` trust factors
 already checked.  So ``try_invert`` checks f once in ``factorize`` and
 once in ``invert_factorization``, and the inverse, which that builds
 from checked factors, is not checked again.  ``inner_auto``,
-``graph_auto`` and ``theta_product`` check only the factor they are
-given: the identity permutation and all-ones vector they fill in are
-valid by construction.
+``graph_auto`` and ``theta_product`` check only their given factor; the
+identity and all-ones factors they fill in are valid by construction.
 
 ``apply`` and ``compose`` work on any image list: they substitute each
 letter's image letter by letter and reduce the substituted word once.
@@ -482,21 +481,19 @@ def _core(star: StarForm, f: AutFactorization, g: int) -> Word:
     """
     if g == 1:
         return (1,)
-    j, k, t = f.perm_of(g), f.cvec[g - 2], star.t_of(g)
+    return _leaf_core(f.perm_of(g), f.cvec[g - 2], star.t_of(g))
+
+
+def _leaf_core(j: int, k: int, t: int) -> Word:
+    """The normal form of w_1 (w_1 w_j)^k with t = t_j, as in ``_core``."""
     if 2 * k < t + 1:
         return alternating(j, 1, 2 * k - 1)
     return alternating(1, j, 2 * (t - k) + 1)
 
 
 def _cores(star: StarForm, f: AutFactorization) -> list:
-    """``_core`` of every generator, in generator order, spelled in one
-    loop over (perm, cvec, t)."""
-    return [(1,)] + [
-        alternating(j, 1, 2 * k - 1)
-        if 2 * k < t + 1
-        else alternating(1, j, 2 * (t - k) + 1)
-        for j, k, t in zip(f.perm, f.cvec, star.t)
-    ]
+    """``_core`` of every generator, in generator order, in one loop."""
+    return [(1,)] + list(map(_leaf_core, f.perm, f.cvec, star.t))
 
 
 def _spell(star: StarForm, f: AutFactorization, word: Sequence[int]) -> list:
@@ -526,12 +523,9 @@ def recompose(
 
 
 def _recompose(star: StarForm, f: AutFactorization, budget: int) -> Endomorphism:
-    """``recompose`` of factors that ``_checked`` has already validated.
-
-    The inner word is reduced once to x, a read with no step when it is
-    canonical.  x^-1 (by the reversal lemma of ``words``) and every core
-    are canonical too, so ``words._joined`` joins each image x^-1 core x
-    at its two seams; with x empty the cores are the images."""
+    """``recompose`` of factors that ``_checked`` has already validated:
+    x = f.inner reduced once, then ``words._joined`` joins each image
+    x^-1 core x from three canonical words (x^-1 by the reversal lemma)."""
     sys = star.system
     x = _reduce(sys, f.inner, budget)
     cores = _cores(star, f)
@@ -557,11 +551,13 @@ def invert_factorization(
     """
     f = _checked(star, f)
     back = {j: i for i, j in zip(star.leaves, f.perm)}
-    perm = tuple(back[g] for g in star.leaves)
-    cvec = tuple(pow(f.cvec[i - 2], -1, t) for i, t in zip(perm, star.t))
-    psi = AutFactorization((), cvec, perm)
+    psi = AutFactorization(
+        (),
+        tuple(pow(f.cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
+        tuple(back[g] for g in star.leaves),
+    )
     image = _reduce(star.system, _spell(star, psi, f.inner), budget)
-    return AutFactorization(inverse_word(image), cvec, perm)
+    return AutFactorization(inverse_word(image), psi.cvec, psi.perm)
 
 
 def compose_factors(
@@ -592,8 +588,14 @@ def _compose_factors(
     validated."""
     psi1 = AutFactorization((), f1.cvec, f1.perm)
     inner = _reduce(star.system, _spell(star, psi1, f2.inner) + list(f1.inner), budget)
-    cvec = tuple(f1.cvec[j - 2] * k % t for t, j, k in zip(star.t, f2.perm, f2.cvec))
-    return AutFactorization(inner, cvec, tuple(f1.perm[j - 2] for j in f2.perm))
+    return AutFactorization(
+        inner,
+        tuple(
+            f1.cvec[j - 2] * k % star.t_of(i)
+            for i, j, k in zip(star.leaves, f2.perm, f2.cvec)
+        ),
+        tuple(f1.perm[j - 2] for j in f2.perm),
+    )
 
 
 def factorize(

@@ -277,21 +277,35 @@ def test_recompose_gives_the_reduced_images(case):
     )
 
 
+def _answer(thunk):
+    try:
+        return thunk()
+    except OrbitBudgetExceeded as exc:
+        return str(exc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(factorizations(), st.integers(0, 8))
 def test_recompose_answers_as_the_reference_at_small_budgets(case, budget):
     """Where both answer, at any budget, they agree; an exceeded budget is
-    refused with the same message."""
+    refused with the same message; and no image the reference answers is
+    refused, for ``recompose`` or for ``inner_auto``."""
     s, f = case
-    try:
-        expected = reference_recompose(s, f, budget)
-    except OrbitBudgetExceeded as exc:
-        expected = str(exc)
-    try:
-        got = recompose(s, f, budget).images
-    except OrbitBudgetExceeded as exc:
-        got = str(exc)
-    if isinstance(expected, tuple) and isinstance(got, tuple):
-        assert got == expected
-    elif isinstance(expected, str) and isinstance(got, str):
-        assert got == expected == f"word engine exceeded {budget} rewrite steps"
+    inner = AutFactorization(f.inner, (1,) * (s.rank - 1), tuple(s.leaves))
+    for expected, got in (
+        (
+            _answer(lambda: reference_recompose(s, f, budget)),
+            _answer(lambda: recompose(s, f, budget).images),
+        ),
+        (
+            _answer(lambda: reference_recompose(s, inner, budget)),
+            _answer(lambda: inner_auto(s, f.inner[::-1], budget).images),
+        ),
+    ):
+        assert not (isinstance(expected, tuple) and isinstance(got, str)), (
+            s.t, f, budget,
+        )
+        if isinstance(expected, tuple) and isinstance(got, tuple):
+            assert got == expected
+        elif isinstance(expected, str) and isinstance(got, str):
+            assert got == expected == f"word engine exceeded {budget} rewrite steps"
