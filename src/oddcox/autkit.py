@@ -80,6 +80,8 @@ from checked factors, is not checked again.  ``inner_auto``,
 ``graph_auto`` and ``theta_product`` check only their given factor; the
 identity and all-ones factors they fill in are valid by construction.
 
+Every letter of every image is checked once, when the ``Endomorphism``
+is built, so no function here checks an image's letters again.
 ``apply`` and ``compose`` work on any image list: they substitute each
 letter's image letter by letter and reduce the substituted word once.
 ``satisfies_relations`` decides the relators on any system, star or
@@ -98,7 +100,6 @@ from typing import Sequence
 
 from .core import INFINITY, CoxeterSystem, StarForm, _Record, merge_generators
 from .errors import (
-    BadLetter,
     BadThetaExponent,
     BlockViolatingPermutation,
     EndoFileError,
@@ -107,6 +108,7 @@ from .errors import (
     NotAutomorphism,
     NotInvolution,
     NotSurjective,
+    OrbitBudgetExceeded,
 )
 from .words import (
     DEFAULT_ORBIT_BUDGET,
@@ -126,10 +128,10 @@ class Endomorphism(_Record):
     """Generator-image list over a fixed ambient system.
 
     Building one checks that there is one image per generator, or raises
-    ``EndoFileError``, and then freezes each image with ``tuple()``, so
-    the images can never change after the record is built.  The letters
-    of an image are checked where they are substituted, so the first bad
-    letter raised is the first one read.
+    ``EndoFileError``, and then checks and freezes each image in image
+    order with ``check_word``, which raises ``BadLetter`` for the first
+    bad letter.  So the images can never change after the record is
+    built, and every function that reads them may trust their letters.
 
     ``_classified`` is derived and not a field: None, or the pair
     (budget, ``EndoClass``) that the last successful ``classify_endo``
@@ -140,11 +142,12 @@ class Endomorphism(_Record):
     images: tuple  # images[i - 1] is the image word of generator i
 
     def __post_init__(self):
-        rank, k = self.system.rank, len(self.images)
+        sys = self.system
+        rank, k = sys.rank, len(self.images)
         if k != rank:
             raise EndoFileError(f"expected {rank} generator images, got {k}")
-        # tuple() of a tuple is the same object: library-built images cost nothing
-        object.__setattr__(self, "images", tuple(map(tuple, self.images)))
+        images = tuple([check_word(sys, word) for word in self.images])
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "_classified", None)
 
     def __reduce__(self):
@@ -155,30 +158,18 @@ class Endomorphism(_Record):
 
 
 def make_endo(sys: CoxeterSystem, images: Sequence[Sequence[int]]) -> Endomorphism:
-    # building the record checks the count before any letter is checked
-    e = Endomorphism(sys, images)
-    for word in e.images:
-        check_word(sys, word)
-    return e
+    return Endomorphism(sys, images)
 
 
 def identity_endo(sys: CoxeterSystem) -> Endomorphism:
     return Endomorphism(sys, tuple((i,) for i in sys.generators))
 
 
-def _substituted(
-    sys: CoxeterSystem, e: Endomorphism, word: Word, images: dict
-) -> list:
-    """``word`` with each letter replaced by e's image of it, letter by letter.
-
-    e's image of a letter is checked the first time the letter occurs and
-    kept in ``images``, so the first bad letter raised is the first one in
-    the substituted word, and callers sharing ``images`` check each once."""
+def _substituted(e: Endomorphism, word: Word) -> list:
+    """``word`` with each letter replaced by e's image of it, letter by letter."""
     out = []
     for letter in word:
-        if letter not in images:
-            images[letter] = check_word(sys, e.image_of(letter))
-        out += images[letter]
+        out += e.image_of(letter)
     return out
 
 
@@ -191,7 +182,7 @@ def apply(
     """Canonical form of the image of a word: substitute each letter's image
     letter by letter, then reduce the whole word once."""
     _check_system(sys, e)
-    return _reduce(sys, _substituted(sys, e, check_word(sys, word), {}), budget)
+    return _reduce(sys, _substituted(e, check_word(sys, word)), budget)
 
 
 def _check_system(sys: CoxeterSystem, e: Endomorphism) -> None:
@@ -243,20 +234,14 @@ def satisfies_relations(
     order 2; of length 2k it is a rotation, of order
     m(a, b) / gcd(k, m(a, b)), or of infinite order when m(a, b) is
     infinite.  Only a u on three or more letters has u^m reduced.
-
-    The relators go in the order of ``relators()``, each image checked
-    where it first occurs, so the first bad letter raised and the first
-    failing relator are those of substituting into every relator.
     """
     _check_system(sys, e)
-    images: dict = {}
-    for g in sys.generators:
-        u = _strip(_substituted(sys, e, (g,), images))
+    for u in map(_strip, e.images):
         if _reduce(sys, u + u, budget) != ():
             return False
     return all(
         _power_is_trivial(
-            sys, _strip(_reduce(sys, images[i] + images[j], budget)), m, budget
+            sys, _strip(_reduce(sys, e.image_of(i) + e.image_of(j), budget)), m, budget
         )
         for i, j, m in sys.edges
     )
@@ -289,8 +274,7 @@ def classify_endo(
     w_1 (w_1 w_j)^k of one D_j, k = 0 allowed, with t_j / gcd(k, t_j)
     dividing t_i; ``verify_endo`` reads that off.
 
-    Every letter is checked before any reduction.  Raises
-    ``NotInvolution`` when e(1) is not an involution, 1 included.
+    Raises ``NotInvolution`` when e(1) is not an involution, 1 included.
 
     The classification is stored on e with its budget (``_classified``),
     once e's system is checked against the star's.  A later call with
@@ -298,17 +282,16 @@ def classify_endo(
     that succeeds, replaces it.  The result is a function of e and the
     budget alone, since e's images are frozen and the word engine keeps
     no state, so a stored classification is exact.  Only a success is
-    stored: a bad letter, a refused center image or an exceeded budget
-    is raised afresh by every call.
+    stored: a refused center image or an exceeded budget is raised
+    afresh by every call.
     """
     sys = star.system
     _check_system(sys, e)
     stored = e._classified
     if stored is not None and stored[0] == budget:
         return stored[1]
-    images = [check_word(sys, w) for w in e.images]
-    x = involution_to_base(star, images[0], budget)
-    us = tuple(_conjugate(sys, w, x, budget) for w in images)
+    x = involution_to_base(star, e.images[0], budget)
+    us = tuple(_conjugate(sys, w, x, budget) for w in e.images)
     targets = []
     for u in us[1:]:
         leaf_letters = set(u) - {1}
@@ -331,25 +314,16 @@ def verify_endo(
     image is trivial, or when e(1) is an involution and every leaf i has
     u_i = w_1 (w_1 w_j)^k, a reflection of one D_j: u_i = w_1 (k = 0), or
     an odd-length u_i whose one leaf letter is j, with t_j / gcd(k, t_j)
-    dividing t_i.  No relator word is reduced.  It returns what
-    ``satisfies_relations`` returns, and raises the same first bad letter.
-
-    ``satisfies_relations`` reads image g, its letters and then whether
-    it squares to 1, only once every earlier image has passed, so a bad
-    letter after an image that is no involution is never read.  So a
-    bad letter is handed to it; its first loop stops at the bad letter
-    or earlier, before any relator is reduced.  With every letter good
-    the classification decides the test itself: an image that is no
-    involution is not 1, and its leaf's u_i is no reflection.
+    dividing t_i.  No relator word is reduced, and it returns what
+    ``satisfies_relations`` returns: an image that is no involution is
+    not 1, and its leaf's u_i is no reflection.
     """
     try:
         c = classify_endo(star, e, budget)
     except NotInvolution:
-        # every letter is checked; e(1) = 1 forces every image to be 1, and
-        # any() stops at an e(1) that is not 1
+        # e(1) = 1 forces every image to be 1, and any() stops at an e(1)
+        # that is not 1
         return not any(_reduce(star.system, w, budget) for w in e.images)
-    except BadLetter:
-        return satisfies_relations(star.system, e, budget)
     for i, u, target in zip(star.leaves, c.conjugates[1:], c.targets):
         if u == (1,):
             continue
@@ -430,21 +404,16 @@ def compose(
     """compose(e1, e2)(w) = e1(e2(w)), one reduction per generator.
 
     Each image e2(g) has e1's images substituted letter by letter and is
-    then reduced once.  Every image is checked before any is reduced, so a
-    bad letter is reported ahead of a budget error.  This works on any two
-    image lists; factored automorphisms multiply with ``compose_factors``,
-    which needs one reduction per product.
+    then reduced once.  This works on any two image lists; factored
+    automorphisms multiply with ``compose_factors``, which needs one
+    reduction per product.
     """
     if e1.system != e2.system:
         raise NotAutomorphism("cannot compose endomorphisms of different systems")
     sys = e1.system
-    images: dict = {}
-    # e2's image of g first, then e1's images of its letters, as apply checks
-    words = [
-        _substituted(sys, e1, check_word(sys, e2.image_of(g)), images)
-        for g in sys.generators
-    ]
-    return Endomorphism(sys, tuple(_reduce(sys, w, budget) for w in words))
+    return Endomorphism(
+        sys, [_reduce(sys, _substituted(e1, w), budget) for w in e2.images]
+    )
 
 
 class AutFactorization(_Record):
@@ -525,13 +494,22 @@ def recompose(
 def _recompose(star: StarForm, f: AutFactorization, budget: int) -> Endomorphism:
     """``recompose`` of factors that ``_checked`` has already validated:
     x = f.inner reduced once, then ``words._joined`` joins each image
-    x^-1 core x from three canonical words (x^-1 by the reversal lemma)."""
+    x^-1 core x from three canonical words (x^-1 by the reversal lemma).
+
+    Reducing a non-canonical x alone, or a joined word whose seam fails,
+    can take more rewrite steps than reducing the whole image, so when
+    either exceeds the budget each image ``_spell`` gives is reduced
+    whole under the same budget, and an image is refused only when that
+    reduction is."""
     sys = star.system
-    x = _reduce(sys, f.inner, budget)
-    cores = _cores(star, f)
-    if x:
-        xinv = x[::-1]
-        cores = [_joined(sys, (xinv, core, x), budget) for core in cores]
+    try:
+        x = _reduce(sys, f.inner, budget)
+        cores = _cores(star, f)
+        if x:
+            xinv = x[::-1]
+            cores = [_joined(sys, (xinv, core, x), budget) for core in cores]
+    except OrbitBudgetExceeded:
+        cores = [_reduce(sys, _spell(star, f, (g,)), budget) for g in sys.generators]
     return Endomorphism(sys, cores)
 
 
@@ -603,8 +581,7 @@ def factorize(
 ) -> AutFactorization:
     """Factor a verified endomorphism, or prove it is no automorphism.
 
-    ``classify_endo`` checks every letter first.  Then four steps, each
-    refusal reported as ``NotAutomorphism``:
+    Four steps, each refusal reported as ``NotAutomorphism``:
 
     1. ``classify_endo`` finds x with x e(1) x^-1 = w_1 through
        ``involution_to_base``; an identity or non-involution image of the
@@ -808,5 +785,5 @@ def endo_from_json(sys: CoxeterSystem, text: str) -> Endomorphism:
                 raise EndoFileError(
                     f"images[{idx}]: letter {letter} out of range 1..{sys.rank}"
                 )
-    # every letter is checked above, so the words are the images as they stand
+    # the checks above name the file's bad entry; the record's own check passes
     return Endomorphism(sys, images)

@@ -410,14 +410,6 @@ def _push(row: dict, state: dict, x: int, index: int) -> dict:
     return new
 
 
-def _descents(sys: CoxeterSystem, canon: Word) -> set:
-    """Left descents of a reduced word: the simple roots in its state."""
-    state: dict = {}
-    for index, x in enumerate(reversed(canon)):
-        state = _push(sys.neighbors(x), state, x, index)
-    return {key for key in state if type(key) is int}
-
-
 def _reduce(sys: CoxeterSystem, word: Sequence[int], budget: int) -> Word:
     pending, steps = _stack_pass(sys, word, budget)
     if not steps:  # certified canonical by the stack pass
@@ -581,8 +573,12 @@ def _joined(sys: CoxeterSystem, pieces: Sequence[Word], budget: int) -> Word:
 def left_descents(
     sys: CoxeterSystem, word: Sequence[int], budget: int = DEFAULT_ORBIT_BUDGET
 ) -> set:
-    """Generators s with length(s w) < length(w)."""
-    return _descents(sys, reduce_word(sys, word, budget))
+    """Generators s with length(s w) < length(w): the simple roots in the
+    state of the reduced word."""
+    state: dict = {}
+    for index, x in enumerate(reversed(reduce_word(sys, word, budget))):
+        state = _push(sys.neighbors(x), state, x, index)
+    return {key for key in state if type(key) is int}
 
 
 def support(

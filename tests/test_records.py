@@ -1,12 +1,15 @@
 """Value semantics of the package's records: equality, hashing, immutability,
 pickling, construction and repr."""
 
+import copy
 import pickle
+import re
 
 import pytest
 
 from oddcox import autkit, cli, core, oracle, pathgroups, units
 from oddcox.errors import (
+    BadLetter,
     DiagonalNotOne,
     EndoFileError,
     EvenOrSmallExponent,
@@ -255,6 +258,40 @@ def test_endomorphism_with_the_wrong_image_count_is_refused():
         # the count is checked before the letters, here all out of range
         with pytest.raises(EndoFileError, match=message):
             autkit.make_endo(SYS, [(0,)] * len(images))
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        (((1,), (2, 0), (3,)), "letter 0 out of range 1..3"),
+        (((1,), (2,), (3, 4)), "letter 4 out of range 1..3"),
+        (((1,), (-2,), (3,)), "letter -2 out of range 1..3"),
+        (((True,), (2,), (3,)), "letter True is not an integer"),
+        (((1,), ("x",), (3,)), "letter 'x' is not an integer"),
+        (((1,), (2,), (3, 2.0)), "letter 2.0 is not an integer"),
+        ([[1], [2, 9], [3]], "letter 9 out of range 1..3"),
+        # the first bad letter in image order, whatever kind the later ones are
+        (((1, 5), ("x",), (0,)), "letter 5 out of range 1..3"),
+        (((1,), (2, 2.0, 9), (True,)), "letter 2.0 is not an integer"),
+        (((), (), (3, 1, "x", 0)), "letter 'x' is not an integer"),
+    ],
+)
+def test_endomorphism_refuses_a_bad_letter_when_it_is_built(images, message):
+    for build in (autkit.Endomorphism, autkit.make_endo):
+        with pytest.raises(BadLetter, match=f"^{re.escape(message)}$"):
+            build(SYS, images)
+
+
+def test_a_checked_endomorphism_survives_pickle_and_copy():
+    s = star(3, 5)
+    f = autkit.AutFactorization(inner=(2, 1, 3), cvec=(2, 3), perm=(2, 3))
+    listed = autkit.Endomorphism(s.system, [[1], [2, 1, 2], [3]])
+    for e in (autkit.recompose(s, f), listed):
+        autkit.classify_endo(s, e)
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert twin == e and hash(twin) == hash(e)
+            assert twin.images == e.images and type(twin.images[0]) is tuple
+            assert twin._classified is None
 
 
 def test_bad_permutation_raises_the_same_error():

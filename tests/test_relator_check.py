@@ -6,8 +6,9 @@ form.  The reference substitutes the images into every relator and reduces
 the whole word (``reference_apply``).  The images are drawn to make the
 relators hold often: composed star automorphisms, reflections and rotations
 of one dihedral parabolic (a rotation of each order that divides its label)
-under a common conjugator, conjugated letters, random words and bad
-letters, sometimes with one image replaced.
+under a common conjugator, conjugated letters and random words, sometimes
+with one image replaced.  A drawn bad letter must be refused when the
+record is built, and is then left out (``built``).
 """
 
 import math
@@ -25,11 +26,11 @@ from oddcox.autkit import (
     theta_product,
 )
 from oddcox.core import INFINITY, CoxeterSystem, path_system
-from oddcox.errors import NotAutomorphism
+from oddcox.errors import BadLetter, NotAutomorphism
 from oddcox.words import alternating
 from conftest import star
 from test_engine_oracle import SYSTEMS as ORACLE_SYSTEMS
-from test_substitution import outcome, reference_apply, words
+from test_substitution import built, outcome, reference_apply, words
 
 LABELS = [3, 5, 9, 15, 21, INFINITY]
 
@@ -172,7 +173,7 @@ def cases(draw, bad_letters=True):
         bad = draw(st.sampled_from([0, n + 1, -2, "x", True, 2.0]))
         pos = draw(st.integers(0, len(images[g])))
         images[g] = images[g][:pos] + (bad,) + images[g][pos:]
-    return sys, Endomorphism(system=sys, images=tuple(images))
+    return sys, built(sys, tuple(images))
 
 
 @settings(max_examples=500, deadline=None)
@@ -225,7 +226,10 @@ def test_relator_check_examples(sys, images, holds):
 
 def test_a_failing_involution_relator_comes_before_a_later_bad_letter():
     sys = path_system([3, 3])
-    e = Endomorphism(system=sys, images=((1, 2), (2, 9), (3,)))
+    # the bad letter is refused when the record is built, before any relator
+    with pytest.raises(BadLetter, match=r"^letter 9 out of range 1\.\.3$"):
+        Endomorphism(system=sys, images=((1, 2), (2, 9), (3,)))
+    e = Endomorphism(system=sys, images=((1, 2), (2,), (3,)))
     assert satisfies_relations(sys, e) is False
     assert reference_satisfies(sys, e) is False
 
@@ -233,6 +237,8 @@ def test_a_failing_involution_relator_comes_before_a_later_bad_letter():
 def test_a_foreign_system_is_refused_first():
     sys = path_system([3, 3])
     other = path_system([3, 5])
-    e = Endomorphism(system=other, images=((1, "x"), (2,), (3,)))
+    with pytest.raises(BadLetter, match=r"^letter 'x' is not an integer$"):
+        Endomorphism(system=other, images=((1, "x"), (2,), (3,)))
+    e = Endomorphism(system=other, images=((1,), (2,), (3,)))
     with pytest.raises(NotAutomorphism, match="^endomorphism belongs to a different system$"):
         satisfies_relations(sys, e)

@@ -20,7 +20,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddcox import autkit, words
@@ -286,6 +286,9 @@ def _answer(thunk):
 
 @settings(max_examples=200, deadline=None)
 @given(factorizations(), st.integers(0, 8))
+# reducing the non-canonical x alone takes 3 or 4 steps; each whole image 2
+@example((star(3), AutFactorization((1, 2, 1, 2, 2), (1,), (2,))), 2)
+@example((star(3), AutFactorization((2, 1, 2, 1, 1, 2, 2), (1,), (2,))), 2)
 def test_recompose_answers_as_the_reference_at_small_budgets(case, budget):
     """Where both answer, at any budget, they agree; an exceeded budget is
     refused with the same message; and no image the reference answers is

@@ -28,7 +28,7 @@ from oddcox.autkit import (
     try_invert,
     verify_endo,
 )
-from oddcox.errors import NotAutomorphism
+from oddcox.errors import BadLetter, NotAutomorphism
 from oddcox.words import alternating
 from conftest import star
 from test_classify_endo import outcome
@@ -177,7 +177,14 @@ def test_a_foreign_star_is_refused_after_classification():
 )
 def test_bad_letters_and_refused_centers_repeat_exactly(labels, images):
     s = star(*labels)
-    e = Endomorphism(s.system, images)
+    try:
+        e = Endomorphism(s.system, images)
+    except BadLetter as exc:
+        # a bad letter is refused when the record is built, every time alike
+        assert str(exc) in ("letter 9 out of range 1..3", "letter 'x' is not an integer")
+        for _ in range(2):
+            assert outcome(Endomorphism, s.system, images) == ("BadLetter", str(exc))
+        return
     first = [outcome(classify_endo, s, e), three(s, e)]
     assert first[0][0] in ("BadLetter", "NotInvolution")
     for _ in range(2):
