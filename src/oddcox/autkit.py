@@ -46,8 +46,8 @@ core of g letter for letter; failure of any step is reported as
 used by ``try_invert``.  Inverses and normality witnesses are computed
 from the three factors.  A conjugate x e(g) x^-1 of an image, whose
 letters are not known to be canonical, first cancels equal letters
-across its two seams (``words._conjugate``), a free reduction, and the
-word engine reads only what is left.
+across its two seams with ``words._free_join``, the free reduction that
+``recompose``'s joins use, and the word engine reads only what is left.
 
 Each record is classified once per budget.  ``classify_endo`` stores a
 successful classification on the ``Endomorphism`` itself, as a derived
@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import INFINITY, CoxeterSystem, StarForm, _Record, merge_generators
 from .errors import (
@@ -113,8 +113,9 @@ from .errors import (
 from .words import (
     DEFAULT_ORBIT_BUDGET,
     Word,
-    _conjugate,
     _dihedral_position,
+    _free_join,
+    _is_int,
     _joined,
     _reduce,
     alternating,
@@ -291,7 +292,8 @@ def classify_endo(
     if stored is not None and stored[0] == budget:
         return stored[1]
     x = involution_to_base(star, e.images[0], budget)
-    us = tuple(_conjugate(sys, w, x, budget) for w in e.images)
+    xinv = inverse_word(x)
+    us = tuple(_reduce(sys, _free_join((x, w, xinv))[0], budget) for w in e.images)
     targets = []
     for u in us[1:]:
         leaf_letters = set(u) - {1}
@@ -349,20 +351,31 @@ def inner_auto(
 def theta_auto(star: StarForm, i: int, k: int) -> Endomorphism:
     """Reflection-rescaling map fixing all generators but leaf i,
     which is sent to w_1 (w_1 w_i)^k; requires gcd(k, t_i) = 1."""
-    if i not in star.leaves:
-        raise BadThetaExponent(f"{i} is not a leaf")
+    if not _is_int(i) or i not in star.leaves:
+        raise BadThetaExponent(f"{i!r} is not a leaf")
     cvec = [1] * (star.rank - 1)
     cvec[i - 2] = k
     return theta_product(star, cvec)
 
 
 def _normalize_perm(star: StarForm, perm) -> tuple:
-    """Leaf permutation as a tuple indexed by leaf - 2; validates blocks."""
+    """Leaf permutation as a tuple indexed by leaf - 2; validates blocks.
+
+    A dict maps leaves to leaves: a leaf that is no key maps to itself,
+    and a key that is no leaf is refused.  Keys and images must pass
+    ``words._is_int``, ``check_word``'s integer test, so a bool or a
+    float is refused here as it is there."""
+    leaves = star.leaves
     if isinstance(perm, dict):
-        images = [perm.get(i, i) for i in star.leaves]
+        for key in perm:
+            if not _is_int(key) or key not in leaves:
+                raise BlockViolatingPermutation(f"{key!r} is not a leaf")
+        images = [perm.get(i, i) for i in leaves]
     else:
         images = list(perm)
-    if sorted(images) != list(star.leaves):
+    # the exact type test is cheap; ``_is_int`` decides the rest
+    integers = set(map(type, images)) == {int} or all(map(_is_int, images))
+    if not integers or sorted(images) != list(leaves):
         raise BlockViolatingPermutation(f"{images} is not a permutation of the leaves")
     t = star.t
     for leaf, image in zip(star.leaves, images):
@@ -387,13 +400,16 @@ def theta_product(star: StarForm, cvec: Sequence[int]) -> Endomorphism:
 
 
 def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
-    """The exponent vector as a tuple, each entry a unit mod its leaf label."""
+    """The exponent vector as a tuple, each entry an integer (``_is_int``)
+    that is a unit mod its leaf label."""
     if len(cvec) != star.rank - 1:
         raise BadThetaExponent(
             f"expected {star.rank - 1} exponents, got {len(cvec)}"
         )
     for leaf, t, k in zip(star.leaves, star.t, cvec):
-        if not (1 <= k < t) or math.gcd(k, t) != 1:
+        # the exact type test is cheap; ``_is_int`` decides the rest
+        integer = type(k) is int or _is_int(k)
+        if not integer or not (1 <= k < t) or math.gcd(k, t) != 1:
             raise BadThetaExponent(f"exponent {k} invalid for leaf {leaf}")
     return tuple(cvec)
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Sequence
 
 from .errors import (
     DiagonalNotOne,

@@ -29,7 +29,7 @@ The full-reduction reference search is in ``tests/ball_oracle.py``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import CoxeterSystem, _Record
 from .errors import BadSearchRequest, BallBudgetExceeded, NegativeRadius

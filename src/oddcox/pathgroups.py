@@ -24,15 +24,15 @@ associative.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import eq, itemgetter
-from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     INFINITY,
     CoxeterSystem,
     _Record,
-    classify,
     cycle_notation,
+    invariants,
     path_system,
 )
 from .errors import (
@@ -45,15 +45,11 @@ from .errors import (
     NonIntegerResult,
     NotAHomomorphism,
     NotBijectiveHom,
-    NotInTW,
     OutputTooLarge,
     RankTooSmall,
     UnsupportedShape,
 )
-from .words import DEFAULT_ORBIT_BUDGET, reduce_word
-
-if TYPE_CHECKING:  # autkit loads only when pl_witness runs
-    from .autkit import Endomorphism
+from .words import DEFAULT_ORBIT_BUDGET, _is_int, reduce_word
 
 DEFAULT_IMAGE_CAP = 10**5
 # a Cayley search holds each element as a tuple of its degree points, so it
@@ -159,9 +155,7 @@ def pi_image(n: int, word: Sequence[int]) -> Permutation:
     # transposition, so the swaps build the inverse of the image.
     inv = list(range(1, n + 1))
     for letter in word:
-        if not isinstance(letter, int) or isinstance(letter, bool) or not (
-            1 <= letter <= n - 1
-        ):
+        if not _is_int(letter) or not 1 <= letter <= n - 1:
             raise BadLetter(f"letter {letter} out of range 1..{n - 1}")
         inv[letter - 1], inv[letter] = inv[letter], inv[letter - 1]
     images = [0] * n
@@ -199,12 +193,11 @@ class CommutatorStructure(_Record):
 
 
 def commutator_presentation(sys: CoxeterSystem) -> CommutatorStructure:
-    if not classify(sys).in_tw:
-        raise NotInTW("system is not an odd connected tree of rank >= 2")
+    invariants(sys)  # refuses a system outside the odd tree family
     n = sys.rank
     # the shape picks the chosen generator, the orders, the names and the
     # action; the relators and the record are the same for both shapes
-    if len(sys.neighbors(1)) == n - 1:
+    if sys._star:
         # star centered at 1
         kind, chosen = "star", 1
         orders = [sys.m(1, i) for i in range(2, n + 1)]
@@ -417,11 +410,8 @@ def free_rank(sys: CoxeterSystem, index: int) -> int:
 
     if index < 1:
         raise BadIndex(f"index must be at least 1, got {index}")
-    if not classify(sys).in_tw:
-        raise NotInTW("system is not an odd connected tree of rank >= 2")
-    chi = (
-        sum(Fraction(1, m) for _, _, m in sys.finite_pairs()) - (sys.rank - 2)
-    ) / 2
+    inv = invariants(sys)
+    chi = (sum(Fraction(1, m) for m in inv.finite_exponents) - (inv.rank - 2)) / 2
     rank = 1 - index * chi
     if rank.denominator != 1:
         raise NonIntegerResult(f"1 - index * chi = {rank} is not an integer")
@@ -431,7 +421,7 @@ def free_rank(sys: CoxeterSystem, index: int) -> int:
 class PureWitness(_Record):
     """Automorphism moving a pure element out of the pure subgroup."""
 
-    endo: Endomorphism
+    endo: object  # an autkit.Endomorphism
     g: tuple
     image: Permutation
 
@@ -569,8 +559,7 @@ def twisted_count(
         if len(row) != size:
             raise BadGroupTable(f"row {a} has {len(row)} entries, expected {size}")
     for x in aut:
-        # as in check_word: an int subclass passes, a bool does not
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise NotBijectiveHom(f"map entry {x!r} is not an integer")
     if sorted(aut) != list(range(size)):
         raise NotBijectiveHom("map is not a bijection")

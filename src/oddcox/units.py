@@ -11,7 +11,6 @@ C/-1 is read off them in closed form, with no matrix.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .core import StarForm, _Record
 from .errors import CertificateFailed, EvenModulus, LabelTooLarge
@@ -116,13 +115,6 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-def euler_phi(m: int) -> int:
-    phi = 1
-    for p, e in factorize_int(m):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 class UnitGroupStructure(_Record):
     """Unit group mod an odd m: one cyclic factor per odd prime power."""
 
@@ -172,7 +164,7 @@ def c_structure(star: StarForm) -> list[tuple[int, int]]:
 def c_order(star: StarForm) -> int:
     total = 1
     for m, k in c_structure(star):
-        total *= euler_phi(m) ** k
+        total *= unit_group(m).order ** k
     return total
 
 
@@ -183,7 +175,7 @@ class ComplementD(_Record):
     order: int
 
 
-def split_inn_c(star: StarForm) -> Optional[ComplementD]:
+def split_inn_c(star: StarForm) -> ComplementD | None:
     """Complement of the -1 vector in C when one exists.
 
     One exists exactly when some prime p = 3 mod 4 divides a leaf
@@ -268,7 +260,7 @@ class OutDescriptor(_Record):
     out_abelian: tuple  # invariant factors of C mod -1
     inn_c_splits: bool
     aut_out_split_guaranteed: bool
-    note: Optional[str]
+    note: str | None
 
 
 def out_descriptor(star: StarForm) -> OutDescriptor:
@@ -284,7 +276,9 @@ def out_descriptor(star: StarForm) -> OutDescriptor:
     for _, k in shape:
         out_order *= math.factorial(k)
     # the multiplicity of each exponent that a prime p = 3 mod 4 divides
-    qualifying = [k for m, k in shape if any(p % 4 == 3 for p, _ in factorize_int(m))]
+    qualifying = [
+        k for m, k in shape if any(p % 4 == 3 for p, _, _ in unit_group(m).factors)
+    ]
     splits = bool(qualifying)
     guaranteed = 1 in qualifying
     note = None

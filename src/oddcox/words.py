@@ -168,16 +168,19 @@ letter with no reduction.
 
 The seam corollary, for canonical words p_1, ..., p_r on a star.  Append
 them in turn, cancelling equal letters across each seam, a free
-reduction, and call the result w.  What is left of each piece is a factor
-of it, canonical by the factor lemma, and w has no equal adjacent pair:
-none inside a fragment, and none at a seam, where cancelling stopped.  A
-maximal alternating run of w that holds no seam lies inside one fragment
-and is maximal there, so it has at most m letters and starts with 1 if
-it has m.  So when every maximal run through a seam does the same, w
-has the reversal lemma's description and is canonical.  ``_joined``
-checks just those runs.  A piece that cancels to nothing leaves one seam
-between its neighbours, and a seam that a later piece cancels past is
-gone; the check reads the seams of w as it stands.
+reduction (``_free_join``), and call the result w.  What is left of each
+piece is a factor of it, canonical by the factor lemma, and w has no
+equal adjacent pair: none inside a fragment, and none at a seam, where
+cancelling stopped.  A maximal alternating run of w that holds no seam
+lies inside one fragment and is maximal there, so it has at most m
+letters and starts with 1 if it has m.  So when every maximal run
+through a seam does the same, w has the reversal lemma's description and
+is canonical.  ``_joined`` checks just those runs.  A piece that cancels
+to nothing leaves one seam between its neighbours, and a seam that a
+later piece cancels past is gone; the check reads the seams of w as it
+stands.  The free reduction is written once: ``autkit.classify_endo``
+cancels x e(g) x^-1 with ``_free_join`` too, for any image e(g), and
+reduces what is left.
 
 A certified join skips no step.  ``_reduce`` of w would take none: its
 stack pass rewrites nothing in w and certifies it by test (a).  Nor
@@ -200,7 +203,7 @@ run inside c.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import CoxeterSystem, StarForm
 from .errors import (
@@ -215,14 +218,18 @@ DEFAULT_ORBIT_BUDGET = 10**6
 Word = tuple
 
 
+def _is_int(value) -> bool:
+    """The package's integer test: an int, or an int subclass other than
+    bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_word(sys: CoxeterSystem, word: Sequence[int]) -> Word:
     word = tuple(word)
     rank = sys.rank
     for letter in word:
-        # the exact type test is cheap; int subclasses other than bool pass too
-        if type(letter) is not int and (
-            not isinstance(letter, int) or isinstance(letter, bool)
-        ):
+        # the exact type test is cheap; ``_is_int`` decides the rest
+        if type(letter) is not int and not _is_int(letter):
             raise BadLetter(f"letter {letter!r} is not an integer")
         if not 1 <= letter <= rank:
             raise BadLetter(f"letter {letter} out of range 1..{rank}")
@@ -495,66 +502,54 @@ def conjugate(
     x: Sequence[int],
     budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> Word:
-    """Canonical form of x v x^-1."""
+    """Canonical form of x v x^-1.
+
+    The word is reduced as spelled, with no free reduction across its
+    seams first (``_free_join``): a ball search conjugates by one letter
+    and seldom cancels, so cutting would only add work there.
+    ``autkit.classify_endo`` conjugates every image of a map by one long
+    x, where the seams cancel much of x, and cuts them."""
     x = tuple(x)
     return reduce_word(sys, x + tuple(v) + inverse_word(x), budget)
 
 
-def _conjugate(sys: CoxeterSystem, v: Word, x: Word, budget: int) -> Word:
-    """Canonical form of x v x^-1, for words already checked.
-
-    Equal letters cancel across the seams x | v and v | x^-1 first, found
-    by comparing letters.  That is a free reduction, so the element stays
-    the same, and ``_reduce`` reads only what is left.  ``autkit``
-    conjugates every image of a map by one long x, where the seams
-    cancel much of x.  ``conjugate`` does not cut: a ball search
-    conjugates by one letter and seldom cancels, so the cut only adds
-    work there."""
-    n = len(x)
-    a = 0  # letters cancelled at x | v
-    top = min(n, len(v))
-    while a < top and x[-1 - a] == v[a]:
-        a += 1
-    b = 0  # letters cancelled at v | x^-1, among those left of v
-    top = min(n, len(v) - a)
-    while b < top and v[-1 - b] == x[-1 - b]:
-        b += 1
-    return _reduce(sys, x[: n - a] + v[a : len(v) - b] + inverse_word(x)[b:], budget)
+def _free_join(pieces: Sequence[Word]) -> tuple:
+    """The concatenation of ``pieces`` with equal letters cancelled across
+    each seam as a piece is appended, a free reduction that keeps the
+    element; and its seams, ascending: each index p, 0 < p < len(word),
+    with word[p - 1] and word[p] from two pieces, in the word as it
+    stands (the seam corollary, module docstring)."""
+    out: Word = ()
+    seams: list = []
+    for piece in pieces:
+        n, i, top = len(out), 0, len(piece)
+        while i < top and n and out[n - 1] == piece[i]:
+            n -= 1
+            i += 1
+        if i:
+            out = out[:n]
+            while seams and seams[-1] >= n:
+                seams.pop()
+        if i == top:  # the piece cancelled to nothing, or was empty
+            continue
+        if n:
+            seams.append(n)
+        out += piece[i:]
+    return out, seams
 
 
 def _joined(sys: CoxeterSystem, pieces: Sequence[Word], budget: int) -> Word:
     """Canonical form of the concatenation of canonical words, given as
     tuples, on a star centred at 1 (``sys._star``).
 
-    Equal letters cancel across each seam as a piece is appended, a free
-    reduction, so the element stays the same.  Then each maximal
-    alternating run through a seam that is left must have at most m
-    letters, and start with 1 if it has exactly m.  When every seam
+    ``_free_join`` cancels equal letters across each seam.  Then each
+    maximal alternating run through a seam that is left must have at most
+    m letters, and start with 1 if it has exactly m.  When every seam
     passes, the word is canonical by the seam corollary (module
     docstring) and is returned as it stands; otherwise ``_reduce`` reads
     it."""
     rows = sys._rows
-    out: Word = ()
-    seams: list = []  # each index p with out[p - 1] and out[p] from two pieces
-    for piece in pieces:
-        if not piece:
-            continue
-        n = len(out)
-        if n and out[-1] == piece[0]:
-            i, top = 1, len(piece)
-            n -= 1
-            while i < top and n and out[n - 1] == piece[i]:
-                n -= 1
-                i += 1
-            out = out[:n]
-            while seams and seams[-1] >= n:
-                seams.pop()
-            if i == top:  # the piece cancelled to nothing
-                continue
-            piece = piece[i:]
-        if n:
-            seams.append(n)
-        out += piece
+    out, seams = _free_join(pieces)
     end = len(out) - 1
     for p in seams:
         m = rows[out[p - 1]].get(out[p])

@@ -14,6 +14,12 @@ of the concatenation reads with no rewrite step, so skipping that read
 changes no budget refusal.  ``reference_recompose`` is recompose as it
 was before the join: each x^-1 core x spelled by ``_spell`` and reduced
 whole.
+
+``words._free_join`` is the one free reduction across seams, which
+``_joined`` and ``autkit.classify_endo`` both read.  It is held to the
+letter-by-letter free reduction, seams included, on stars and on other
+trees, and ``classify_endo``'s conjugates are held to the two-loop cut
+they replaced (``reference_conjugate``), at small budgets too.
 """
 
 import math
@@ -26,15 +32,25 @@ from hypothesis import strategies as st
 from oddcox import autkit, words
 from oddcox.autkit import (
     AutFactorization,
+    Endomorphism,
+    classify_endo,
     graph_auto,
     inner_auto,
     recompose,
     theta_product,
 )
 from oddcox.errors import OrbitBudgetExceeded
-from oddcox.words import DEFAULT_ORBIT_BUDGET, _joined, _reduce, alternating
+from oddcox.words import (
+    DEFAULT_ORBIT_BUDGET,
+    _free_join,
+    _joined,
+    _reduce,
+    alternating,
+    involution_to_base,
+)
 
 from conftest import star
+from helpers import random_tree_system
 
 LABELS = range(3, 22, 2)
 
@@ -312,3 +328,158 @@ def test_recompose_answers_as_the_reference_at_small_budgets(case, budget):
             assert got == expected
         elif isinstance(expected, str) and isinstance(got, str):
             assert got == expected == f"word engine exceeded {budget} rewrite steps"
+
+
+# _free_join, the one free reduction across seams
+
+
+def random_system(rng):
+    """A star, or a random odd tree of rank 2 to 6, most of them no star."""
+    if rng.random() < 0.5:
+        return random_star(rng).system
+    return random_tree_system(rng, rng.randint(2, 6))
+
+
+def canonical_on(sys, word):
+    return _reduce(sys, tuple(word), DEFAULT_ORBIT_BUDGET)
+
+
+def letters_of(tagged):
+    return tuple(letter for letter, _ in tagged)
+
+
+def draw_free_pieces(rng):
+    """A system and one to six freely reduced pieces: canonical words, the
+    reversal of the end of the word joined so far, which cancels to
+    nothing and reaches past the last piece when that one is short, the
+    same followed by new letters, and the empty word."""
+    sys = random_system(rng)
+    pieces = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(4)
+        so_far = letters_of(free_reduction(pieces))
+        if kind == 0:
+            piece = canonical_on(sys, random_word(rng, sys, 8))
+        elif kind == 3:
+            piece = ()
+        else:
+            piece = so_far[len(so_far) - rng.randint(0, len(so_far)) :][::-1]
+            if kind == 2:
+                piece = letters_of(free_reduction((piece, random_word(rng, sys, 4))))
+        pieces.append(piece)
+    return sys, pieces
+
+
+def vanished(pieces):
+    """How many non-empty pieces cancel to nothing in the free join."""
+    survivors = {k for _, k in free_reduction(pieces)}
+    return sum(1 for k, piece in enumerate(pieces) if piece and k not in survivors)
+
+
+def check_free_join(sys, pieces):
+    word, seams = _free_join(pieces)
+    assert type(word) is tuple
+    concatenation = tuple(letter for piece in pieces for letter in piece)
+    # the same element: a free reduction changes no element
+    assert canonical_on(sys, word) == canonical_on(sys, concatenation), pieces
+    # every piece is freely reduced, so the join is the letter-by-letter
+    # free reduction, and a seam is where two pieces meet in it
+    tagged = free_reduction(pieces)
+    assert word == letters_of(tagged), pieces
+    assert seams == [p for p in range(1, len(tagged)) if tagged[p - 1][1] != tagged[p][1]]
+    assert all(0 < p < len(word) for p in seams), (pieces, seams)
+    assert seams == sorted(set(seams)), (pieces, seams)
+    assert all(word[p - 1] != word[p] for p in seams), (pieces, seams)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_the_free_join_is_the_free_reduction_with_its_seams(rng):
+    check_free_join(*draw_free_pieces(rng))
+
+
+def test_seeded_free_joins_reach_vanished_pieces_on_stars_and_other_trees():
+    """Pieces that cancel to nothing are drawn on stars and on trees that
+    are no star, so the seam they leave is checked whatever hypothesis
+    draws."""
+    rng = random.Random(20261021)
+    reached = {True: 0, False: 0}  # keyed by sys._star
+    for _ in range(2000):
+        sys, pieces = draw_free_pieces(rng)
+        check_free_join(sys, pieces)
+        reached[sys._star] += vanished(pieces) > 0
+    assert min(reached.values()) >= 100, reached
+
+
+def test_free_join_examples():
+    # (2 1) then (1 2) cancels to nothing, and so does every empty piece
+    assert _free_join(((2, 1), (1, 2))) == ((), [])
+    assert _free_join(((), (), ())) == ((), [])
+    # (1) vanishes into (2 1), leaving one seam between (2) and (1 2)...
+    assert _free_join(((2, 1), (1,), (1, 2))) == ((2, 1, 2), [1])
+    # (3 1 3) cancels past the seam between (2) and (1 3), which is gone,
+    # and leaves a seam of its own there
+    assert _free_join(((2,), (1, 3), (3, 1, 3))) == ((2, 3), [1])
+
+
+# classify_endo's conjugates against the two-loop cut they replaced
+
+
+def reference_conjugate(sys, v, x, budget):
+    """x v x^-1 as ``classify_endo`` read it before ``_free_join``: equal
+    letters cut at x | v, then at v | x^-1 among those left of v, and what
+    is left reduced."""
+    n = len(x)
+    a = 0  # letters cancelled at x | v
+    top = min(n, len(v))
+    while a < top and x[-1 - a] == v[a]:
+        a += 1
+    b = 0  # letters cancelled at v | x^-1, among those left of v
+    top = min(n, len(v) - a)
+    while b < top and v[-1 - b] == x[-1 - b]:
+        b += 1
+    return _reduce(sys, x[: n - a] + v[a : len(v) - b] + x[::-1][b:], budget)
+
+
+def draw_endo(rng):
+    """A star and an image list whose center image is an involution, with
+    images that the conjugator x cancels entirely at its first seam, at
+    both seams, or not at all."""
+    s = random_star(rng)
+    x = canonical(s, random_word(rng, s, 8))
+    center = x[::-1] + (rng.randint(1, s.rank),) + x
+    if rng.random() < 0.5:
+        center = canonical(s, center)
+    # the conjugator classify_endo finds, which need not be x
+    x = involution_to_base(s, center)
+    images = [center]
+    for _ in s.leaves:
+        kind = rng.randrange(4)
+        tail = x[len(x) - rng.randint(0, len(x)) :]
+        if kind == 0:
+            image = tail[::-1]  # x cancels all of it at x | v
+        elif kind == 1:
+            image = x[::-1]  # the whole x^-1: x cancels it, and x^-1 stays
+        elif kind == 2:
+            image = tail[::-1] + tuple(random_word(rng, s, 4)) + tail
+        else:
+            image = tuple(random_word(rng, s, 10))
+        images.append(image)
+    return s, Endomorphism(s.system, images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 8))
+def test_classify_endo_conjugates_as_the_two_loop_cut(rng, budget):
+    """The conjugates, or the exceeded budget and its message, are those
+    of the two-loop cut, at budgets 0 to 8 and at the default."""
+    s, e = draw_endo(rng)
+    for cap in (budget, DEFAULT_ORBIT_BUDGET):
+
+        def reference():
+            x = involution_to_base(s, e.images[0], cap)
+            return tuple(reference_conjugate(s.system, w, x, cap) for w in e.images)
+
+        expected = _answer(reference)
+        got = _answer(lambda: classify_endo(s, e, cap).conjugates)
+        assert got == expected, (s.t, e.images, cap)
