@@ -58,10 +58,18 @@ are not stored.  A record freezes its images when it is built and the
 word engine keeps no state, so the classification is a function of the
 record and the budget, and storing it is exact.  So ``verify_endo``,
 ``factorize`` and the ``factorize`` inside ``try_invert``, called on one
-record, read its images once.
+record, read its images once.  A record that ``_recompose`` or
+``compose`` builds carries its factored form from birth (``_form``, by
+the same rules: keyed by the budget it was built with, and no field), so
+at that budget ``classify_endo`` reads it with its one
+``involution_to_base`` call and reduces no image.
 
-Factored automorphisms also multiply in closed form: ``compose_factors``
-gives the factors of f1 o f2 with one reduction, of psi1(x2) x1, and
+Endomorphisms of a star multiply in closed form (``_product``): with
+e = inner(x^-1) o phi, where phi fixes w_1 and sends each leaf to a
+reflection of one D_j or to w_1, the product e1 o e2 is
+inner(x^-1) o phi1 o phi2 with x = phi1(x2) x1, one reduction, and
+phi1 o phi2 composes the leaf targets and multiplies their exponents.
+``compose_factors`` is its automorphism case, and
 ``invert_factorization`` is its inverse.  ``try_invert`` certifies the
 inverse g of f there with the one product f o g, which must be
 ((), all 1, id) or ((1,), all t - 1, id), the two factorizations of the
@@ -82,8 +90,12 @@ identity and all-ones factors they fill in are valid by construction.
 
 Every letter of every image is checked once, when the ``Endomorphism``
 is built, so no function here checks an image's letters again.
-``apply`` and ``compose`` work on any image list: they substitute each
-letter's image letter by letter and reduce the substituted word once.
+``apply`` works on any image list: it substitutes each letter's image
+letter by letter and reduces the substituted word once.  ``compose``
+takes the closed-form product when e1 is an endomorphism of a star and
+every leaf of e2 goes to a reflection, and joins its images at their
+seams as ``recompose`` does; elsewhere (off stars, for an e1 that is no
+endomorphism, and past the budget) it substitutes as ``apply`` does.
 ``satisfies_relations`` decides the relators on any system, star or
 not (``pathgroups.pl_witness`` uses it), and tests each relator on a
 short conjugate, as its docstring proves, instead of reducing a word 2m
@@ -107,6 +119,7 @@ from .errors import (
     NoMergeWitness,
     NotAutomorphism,
     NotInvolution,
+    NotStarForm,
     NotSurjective,
     OrbitBudgetExceeded,
 )
@@ -136,7 +149,12 @@ class Endomorphism(_Record):
 
     ``_classified`` is derived and not a field: None, or the pair
     (budget, ``EndoClass``) that the last successful ``classify_endo``
-    call stored.  Equality, hash, repr and pickling read only the fields.
+    call stored.  ``_form`` is derived too: None, or the factored form
+    (budget, star, x, targets) that ``_born`` stored when it spelled the
+    images as x^-1 phi(g) x, phi sending the center to w_1 and leaf i to
+    w_1 (w_1 w_j)^k for targets[i - 2] = (j, k), 0 < k < t_j, or to w_1
+    for None.  Equality, hash, repr, pickling and copying read only the
+    fields.
     """
 
     system: CoxeterSystem
@@ -150,6 +168,7 @@ class Endomorphism(_Record):
         images = tuple([check_word(sys, word) for word in self.images])
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_classified", None)
+        object.__setattr__(self, "_form", None)
 
     def __reduce__(self):
         return Endomorphism, (self.system, self.images)
@@ -166,11 +185,12 @@ def identity_endo(sys: CoxeterSystem) -> Endomorphism:
     return Endomorphism(sys, tuple((i,) for i in sys.generators))
 
 
-def _substituted(e: Endomorphism, word: Word) -> list:
-    """``word`` with each letter replaced by e's image of it, letter by letter."""
+def _substituted(images: Sequence[Word], word: Word) -> list:
+    """``word`` with each letter g replaced by images[g - 1], letter by
+    letter."""
     out = []
     for letter in word:
-        out += e.image_of(letter)
+        out += images[letter - 1]
     return out
 
 
@@ -183,7 +203,7 @@ def apply(
     """Canonical form of the image of a word: substitute each letter's image
     letter by letter, then reduce the whole word once."""
     _check_system(sys, e)
-    return _reduce(sys, _substituted(e, check_word(sys, word)), budget)
+    return _reduce(sys, _substituted(e.images, check_word(sys, word)), budget)
 
 
 def _check_system(sys: CoxeterSystem, e: Endomorphism) -> None:
@@ -285,6 +305,15 @@ def classify_endo(
     no state, so a stored classification is exact.  Only a success is
     stored: a refused center image or an exceeded budget is raised
     afresh by every call.
+
+    A record with a factored form (``_form``) stored at the same budget
+    is classified from it, with no image reduced.  The form's x and
+    ``involution_to_base``'s x' both conjugate e(1) to w_1, and the
+    centralizer of w_1 is {1, w_1}, so x' is x or w_1 x.  The form is
+    trusted only when x' is x, or is w_1 x reduced, where the conjugates
+    become w_1 phi(g) w_1 and every k turns into -k; any other x' reads
+    the images as above, so a wrong conjugator still fails ``factorize``'s
+    certificate.
     """
     sys = star.system
     _check_system(sys, e)
@@ -292,19 +321,41 @@ def classify_endo(
     if stored is not None and stored[0] == budget:
         return stored[1]
     x = involution_to_base(star, e.images[0], budget)
-    xinv = inverse_word(x)
-    us = tuple(_reduce(sys, _free_join((x, w, xinv))[0], budget) for w in e.images)
-    targets = []
-    for u in us[1:]:
-        leaf_letters = set(u) - {1}
-        if len(leaf_letters) != 1:
-            targets.append(None)
-            continue
-        (j,) = leaf_letters
-        targets.append((j, _dihedral_position(star.t_of(j), u)[1]))
-    c = EndoClass(x, us, tuple(targets))
+    form = e._form
+    c = None
+    if form is not None and form[0] == budget:
+        c = _class_of_form(star, x, form[2], form[3], budget)
+    if c is None:
+        xinv = inverse_word(x)
+        us = tuple(_reduce(sys, _free_join((x, w, xinv))[0], budget) for w in e.images)
+        targets = []
+        for u in us[1:]:
+            leaf_letters = set(u) - {1}
+            if len(leaf_letters) != 1:
+                targets.append(None)
+                continue
+            (j,) = leaf_letters
+            targets.append((j, _dihedral_position(star.t_of(j), u)[1]))
+        c = EndoClass(x, us, tuple(targets))
     object.__setattr__(e, "_classified", (budget, c))
     return c
+
+
+def _class_of_form(
+    star: StarForm, x: Word, y: Word, targets: tuple, budget: int
+) -> EndoClass | None:
+    """The ``EndoClass`` of images spelled as y^-1 phi(g) y, read with the
+    conjugator x = ``involution_to_base``(e(1)), or None when x is
+    neither y nor w_1 y (``classify_endo``)."""
+    if x != y:
+        if x != _reduce(star.system, (1,) + y, budget):
+            return None
+        t = star.t
+        targets = tuple(
+            None if target is None else (target[0], -target[1] % t[target[0] - 2])
+            for target in targets
+        )
+    return EndoClass(x, tuple(_form_cores(star, targets)), targets)
 
 
 def verify_endo(
@@ -326,15 +377,29 @@ def verify_endo(
         # e(1) = 1 forces every image to be 1, and any() stops at an e(1)
         # that is not 1
         return not any(_reduce(star.system, w, budget) for w in e.images)
-    for i, u, target in zip(star.leaves, c.conjugates[1:], c.targets):
-        if u == (1,):
-            continue
-        if target is None or len(u) % 2 == 0:
-            return False
-        j, k = target
-        t = star.t_of(j)
-        if star.t_of(i) % (t // math.gcd(k, t)):
-            return False
+    return _sends_leaves_to_reflections(c) and _respects_labels(star, c.targets)
+
+
+def _sends_leaves_to_reflections(c: EndoClass) -> bool:
+    """Is every leaf's u_i w_1, or an odd-length word with one leaf letter,
+    a reflection w_1 (w_1 w_j)^k of one D_j?  Then c.targets holds None
+    exactly where u_i = w_1."""
+    return all(
+        u == (1,) or (target is not None and len(u) % 2)
+        for u, target in zip(c.conjugates[1:], c.targets)
+    )
+
+
+def _respects_labels(star: StarForm, targets: tuple) -> bool:
+    """Does t_j / gcd(k, t_j) divide t_i for every leaf i with target (j, k)?
+    For leaves sent to reflections, that is every relator (1 i)^(t_i)."""
+    t = star.t
+    for ti, target in zip(t, targets):
+        if target is not None:
+            j, k = target
+            tj = t[j - 2]
+            if ti % (tj // math.gcd(k, tj)):
+                return False
     return True
 
 
@@ -417,19 +482,83 @@ def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
 def compose(
     e1: Endomorphism, e2: Endomorphism, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Endomorphism:
-    """compose(e1, e2)(w) = e1(e2(w)), one reduction per generator.
+    """compose(e1, e2)(w) = e1(e2(w)).
 
-    Each image e2(g) has e1's images substituted letter by letter and is
-    then reduced once.  This works on any two image lists; factored
-    automorphisms multiply with ``compose_factors``, which needs one
-    reduction per product.
+    On a star, when e1 is an endomorphism and every leaf of e2 goes to a
+    reflection, the product is taken in closed form (``_product``): each
+    factor is read as x^-1 phi(g) x from its stored form (``_form``) or
+    its classification (``classify_endo``), the product's conjugator is
+    reduced once, and its images x^-1 core x are joined at their seams
+    (``_born``), so an image is reduced only when a seam fails.  The
+    product stores its form, so ``classify_endo`` reads no image of it.
+
+    Otherwise each image e2(g) has e1's images substituted letter by
+    letter and is reduced once: off stars, when e1 is no endomorphism
+    (the closed form assumes e1 respects the relations), when e1(1) or
+    e2(1) is 1 or no involution, when a leaf of e2 goes to no
+    reflection, and when the product path exceeds the budget.  Either
+    way the images are the same canonical words.
     """
-    if e1.system != e2.system:
-        raise NotAutomorphism("cannot compose endomorphisms of different systems")
     sys = e1.system
+    # identity first: equality compares every edge
+    if e2.system is not sys and e2.system != sys:
+        raise NotAutomorphism("cannot compose endomorphisms of different systems")
+    try:
+        product = _composed_forms(e1, e2, budget)
+    except OrbitBudgetExceeded:
+        product = None
+    if product is not None:
+        return product
+    images = e1.images
     return Endomorphism(
-        sys, [_reduce(sys, _substituted(e1, w), budget) for w in e2.images]
+        sys, [_reduce(sys, _substituted(images, w), budget) for w in e2.images]
     )
+
+
+def _composed_forms(
+    e1: Endomorphism, e2: Endomorphism, budget: int
+) -> Endomorphism | None:
+    """``compose`` in closed form, or None where it substitutes."""
+    star = _star_of(e1, e2)
+    if star is None:
+        return None
+    form1 = _form_of(star, e1, budget)
+    if form1 is None or not _respects_labels(star, form1[1]):
+        return None
+    form2 = _form_of(star, e2, budget)
+    if form2 is None:
+        return None
+    return _born(star, *_product(star, *form1, *form2, budget), budget)
+
+
+def _star_of(e1: Endomorphism, e2: Endomorphism) -> StarForm | None:
+    """The star of a stored form, else the system read as a canonical star,
+    or None when it is none."""
+    for e in (e1, e2):
+        if e._form is not None:
+            return e._form[1]
+    if e1.system._star:
+        try:
+            return StarForm(e1.system)
+        except NotStarForm:
+            pass
+    return None
+
+
+def _form_of(star: StarForm, e: Endomorphism, budget: int) -> tuple | None:
+    """(x, targets) with e(g) = x^-1 phi(g) x, from the form stored at this
+    budget or from ``classify_endo``; None when e(1) is 1 or no
+    involution, or a leaf goes to no reflection."""
+    form = e._form
+    if form is not None and form[0] == budget:
+        return form[2], form[3]
+    try:
+        c = classify_endo(star, e, budget)
+    except NotInvolution:
+        return None
+    if not _sends_leaves_to_reflections(c):
+        return None
+    return c.inner, c.targets
 
 
 class AutFactorization(_Record):
@@ -478,7 +607,24 @@ def _leaf_core(j: int, k: int, t: int) -> Word:
 
 def _cores(star: StarForm, f: AutFactorization) -> list:
     """``_core`` of every generator, in generator order, in one loop."""
-    return [(1,)] + list(map(_leaf_core, f.perm, f.cvec, star.t))
+    return _form_cores(star, _targets(f))
+
+
+def _form_cores(star: StarForm, targets: tuple) -> list:
+    """The normal form of phi(g) for every generator g, in generator
+    order, where phi fixes w_1 and sends leaf i to w_1 (w_1 w_j)^k for
+    targets[i - 2] = (j, k), 0 < k < t_j (``_leaf_core``), or to w_1 for
+    None."""
+    t = star.t
+    return [(1,)] + [
+        (1,) if target is None else _leaf_core(target[0], target[1], t[target[0] - 2])
+        for target in targets
+    ]
+
+
+def _targets(f: AutFactorization) -> tuple:
+    """The (j, k) = (perm(i), cvec(i)) of every leaf i of factors f."""
+    return tuple(zip(f.perm, f.cvec))
 
 
 def _spell(star: StarForm, f: AutFactorization, word: Sequence[int]) -> list:
@@ -519,14 +665,25 @@ def _recompose(star: StarForm, f: AutFactorization, budget: int) -> Endomorphism
     reduction is."""
     sys = star.system
     try:
-        x = _reduce(sys, f.inner, budget)
-        cores = _cores(star, f)
-        if x:
-            xinv = x[::-1]
-            cores = [_joined(sys, (xinv, core, x), budget) for core in cores]
+        return _born(star, _reduce(sys, f.inner, budget), _targets(f), budget)
     except OrbitBudgetExceeded:
-        cores = [_reduce(sys, _spell(star, f, (g,)), budget) for g in sys.generators]
-    return Endomorphism(sys, cores)
+        return Endomorphism(
+            sys, [_reduce(sys, _spell(star, f, (g,)), budget) for g in sys.generators]
+        )
+
+
+def _born(star: StarForm, x: Word, targets: tuple, budget: int) -> Endomorphism:
+    """The endomorphism with images x^-1 phi(g) x, x reduced, each joined
+    from three canonical words at its seams (``words._joined``; x^-1 by
+    the reversal lemma), with its factored form stored (``_form``)."""
+    sys = star.system
+    cores = _form_cores(star, targets)
+    if x:
+        xinv = x[::-1]
+        cores = [_joined(sys, (xinv, core, x), budget) for core in cores]
+    e = Endomorphism(sys, cores)
+    object.__setattr__(e, "_form", (budget, star, x, targets))
+    return e
 
 
 def invert_factorization(
@@ -579,17 +736,47 @@ def _compose_factors(
     star: StarForm, f1: AutFactorization, f2: AutFactorization, budget: int
 ) -> AutFactorization:
     """``compose_factors`` of factors that ``_checked`` has already
-    validated."""
-    psi1 = AutFactorization((), f1.cvec, f1.perm)
-    inner = _reduce(star.system, _spell(star, psi1, f2.inner) + list(f1.inner), budget)
+    validated: the automorphism case of ``_product``, where every k is a
+    unit, so no leaf goes to w_1."""
+    x, targets = _product(star, f1.inner, _targets(f1), f2.inner, _targets(f2), budget)
     return AutFactorization(
-        inner,
-        tuple(
-            f1.cvec[j - 2] * k % star.t_of(i)
-            for i, j, k in zip(star.leaves, f2.perm, f2.cvec)
-        ),
-        tuple(f1.perm[j - 2] for j in f2.perm),
+        x, tuple(k for _, k in targets), tuple(j for j, _ in targets)
     )
+
+
+def _product(
+    star: StarForm,
+    x1: Word,
+    targets1: tuple,
+    x2: Word,
+    targets2: tuple,
+    budget: int,
+) -> tuple:
+    """(x, targets) of e1 o e2, for e = inner(x^-1) o phi with targets as
+    in ``_form_cores`` and e1 an endomorphism.
+
+    phi1(w_1 w_j) = w_1 phi1(w_j) = (w_1 w_j')^k' for targets1[j - 2] =
+    (j', k'), so phi1 sends w_1 (w_1 w_j)^k to w_1 (w_1 w_j')^(k k'), and
+    to w_1 when either target is None or k k' = 0 mod t_j'.  And
+    e1(y) = x1^-1 phi1(y) x1, so e1 o e2 = inner(x^-1) o phi1 o phi2 with
+    x = phi1(x2) x1, spelled letter by letter and reduced once.
+    """
+    # the cores of x2's letters only: x2 is short, and spelling all n
+    # cores costs tens of microseconds at rank 129
+    cores = _form_cores(star, [None if g == 1 else targets1[g - 2] for g in x2])
+    x = _reduce(star.system, [a for core in cores[1:] for a in core] + list(x1), budget)
+    t = star.t
+    targets = []
+    for target in targets2:
+        if target is not None:
+            j, k = target
+            target = targets1[j - 2]
+            if target is not None:
+                j, k1 = target
+                k = k * k1 % t[j - 2]
+                target = (j, k) if k else None
+        targets.append(target)
+    return x, tuple(targets)
 
 
 def factorize(

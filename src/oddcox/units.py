@@ -161,11 +161,22 @@ def c_structure(star: StarForm) -> list[tuple[int, int]]:
     return [(star.t_of(block[0]), len(block)) for block in star.blocks]
 
 
-def c_order(star: StarForm) -> int:
+def _label_groups(star: StarForm) -> list:
+    """(t, k, ``unit_group``(t)) for each block of k leaves labeled t: each
+    label's unit group read once."""
+    return [(t, k, unit_group(t)) for t, k in c_structure(star)]
+
+
+def _order(groups: list) -> int:
+    """|C|, the product of the unit-group orders of ``_label_groups``."""
     total = 1
-    for m, k in c_structure(star):
-        total *= unit_group(m).order ** k
+    for _, k, group in groups:
+        total *= group.order ** k
     return total
+
+
+def c_order(star: StarForm) -> int:
+    return _order(_label_groups(star))
 
 
 class ComplementD(_Record):
@@ -183,22 +194,24 @@ def split_inn_c(star: StarForm) -> ComplementD | None:
     an odd number, so its odd-order half complements -1 there, and the
     remaining factors pass through whole.
     """
-    # every prime power of every leaf label, each label factored once; the
-    # chosen pair is the first leaf with a prime p = 3 mod 4, at its least p
+    # every prime power of every leaf label, each label's unit group read
+    # once per block; the chosen pair is the first leaf with a prime
+    # p = 3 mod 4, at its least p
+    by_label = {t: group.factors for t, _, group in _label_groups(star)}
     factors = [
-        (leaf, p, e, d)
-        for leaf in star.leaves
-        for p, e, d in unit_group(star.t_of(leaf)).factors
+        (leaf, p, e, d) for leaf, t in zip(star.leaves, star.t) for p, e, d in by_label[t]
     ]
     chosen = next(((leaf, p) for leaf, p, _, _ in factors if p % 4 == 3), None)
     if chosen is None:
         return None
+    # one primitive root per prime power, which refactors its order
+    roots = {pe: primitive_root(*pe) for pe in {(p, e) for _, p, e, _ in factors}}
     generators = []
     order = 1
     for leaf, p, e, d in factors:
         t = star.t_of(leaf)
         q = p**e
-        g = primitive_root(p, e)
+        g = roots[p, e]
         if (leaf, p) == chosen:
             g, d = pow(g, 2, q), d // 2  # odd-order index-2 subgroup
             # arithmetic certificate: -1 does not lie in the odd-order half
@@ -213,10 +226,10 @@ def split_inn_c(star: StarForm) -> ComplementD | None:
         vec[leaf - 2] = lifted
         generators.append(tuple(vec))
         order *= d
-    if order != c_order(star) // 2:
-        raise CertificateFailed(
-            f"complement has order {order}, expected {c_order(star) // 2}"
-        )
+    # the certificate reads |C| afresh, from ``c_order``
+    expected = c_order(star) // 2
+    if order != expected:
+        raise CertificateFailed(f"complement has order {order}, expected {expected}")
     return ComplementD(generators=tuple(generators), order=order)
 
 
@@ -235,10 +248,19 @@ def c_mod_minus_one_invariants(star: StarForm) -> tuple:
     alone.  The k-th largest invariant factor is the product over primes
     of the k-th largest exponent of that prime.  No matrix is built.
     """
+    return _invariants(_label_groups(star))
+
+
+def _invariants(groups: list) -> tuple:
+    """``c_mod_minus_one_invariants`` from ``_label_groups``, each distinct
+    d_j factored once."""
     exponents: dict[int, list[int]] = {}  # prime -> its exponent in each d_j
-    for t, k in c_structure(star):  # the k leaves labeled t have equal d_j
-        for _, _, d in unit_group(t).factors:
-            for r, a in factorize_int(d):
+    factored: dict[int, list] = {}  # d_j -> its prime powers, within this call
+    for _, k, group in groups:  # the k leaves labeled t have equal d_j
+        for _, _, d in group.factors:
+            if d not in factored:
+                factored[d] = factorize_int(d)
+            for r, a in factored[d]:
                 exponents.setdefault(r, []).extend([a] * k)
     twos = exponents[2]
     twos[twos.index(min(twos))] -= 1  # divide out -1
@@ -270,14 +292,15 @@ def out_descriptor(star: StarForm) -> OutDescriptor:
     The splitting guarantee flag follows the multiplicity-one criterion:
     some exponent of multiplicity one divisible by a prime p = 3 mod 4.
     """
-    shape = tuple(c_structure(star))
-    order_c = c_order(star)
+    groups = _label_groups(star)
+    shape = tuple((t, k) for t, k, _ in groups)
+    order_c = _order(groups)
     out_order = order_c // 2
     for _, k in shape:
         out_order *= math.factorial(k)
     # the multiplicity of each exponent that a prime p = 3 mod 4 divides
     qualifying = [
-        k for m, k in shape if any(p % 4 == 3 for p, _, _ in unit_group(m).factors)
+        k for _, k, group in groups if any(p % 4 == 3 for p, _, _ in group.factors)
     ]
     splits = bool(qualifying)
     guaranteed = 1 in qualifying
@@ -292,7 +315,7 @@ def out_descriptor(star: StarForm) -> OutDescriptor:
         c_order=order_c,
         out_order=out_order,
         graph_part=tuple(k for _, k in shape),
-        out_abelian=c_mod_minus_one_invariants(star),
+        out_abelian=_invariants(groups),
         inn_c_splits=splits,
         aut_out_split_guaranteed=guaranteed,
         note=note,
