@@ -110,7 +110,7 @@ import json
 import math
 from collections.abc import Sequence
 
-from .core import INFINITY, CoxeterSystem, StarForm, _Record, merge_generators
+from .core import INFINITY, CoxeterSystem, StarForm, _Record, _is_int, merge_generators
 from .errors import (
     BadThetaExponent,
     BlockViolatingPermutation,
@@ -128,7 +128,6 @@ from .words import (
     Word,
     _dihedral_position,
     _free_join,
-    _is_int,
     _joined,
     _reduce,
     alternating,
@@ -428,7 +427,7 @@ def _normalize_perm(star: StarForm, perm) -> tuple:
 
     A dict maps leaves to leaves: a leaf that is no key maps to itself,
     and a key that is no leaf is refused.  Keys and images must pass
-    ``words._is_int``, ``check_word``'s integer test, so a bool or a
+    ``core._is_int``, ``check_word``'s integer test, so a bool or a
     float is refused here as it is there."""
     leaves = star.leaves
     if isinstance(perm, dict):
@@ -579,34 +578,28 @@ class AutFactorization(_Record):
         return all(self.perm_of(i) == i for i in range(2, len(self.perm) + 2))
 
 
-def _core(star: StarForm, f: AutFactorization, g: int) -> Word:
-    """Image of generator g under graph(perm) o exponent_product(cvec), as
-    its ShortLex normal form.
-
-    The center is fixed.  Leaf g goes to the reflection w_1 (w_1 w_j)^k
-    with j = perm(g), k = cvec(g) and t = t_j = t_g; without its leading
-    pair (1 1) that is (j 1 j ... j), 2k - 1 letters.  Since
-    (w_1 w_j)^t = 1 it is also w_1 (w_j w_1)^(t - k), that is
-    (1 j 1 ... 1), 2(t - k) + 1 letters.  The reduced words of an element
-    of the dihedral group <w_1, w_j>, of order 2t, use only 1 and j, and an
-    alternating word of fewer than t letters is the one reduced word of its
-    element, so the shorter spelling is the normal form.  At 2k = t + 1
-    both spell the longest element, whose ShortLex form starts with 1 < j.
-    """
-    if g == 1:
-        return (1,)
-    return _leaf_core(f.perm_of(g), f.cvec[g - 2], star.t_of(g))
-
-
 def _leaf_core(j: int, k: int, t: int) -> Word:
-    """The normal form of w_1 (w_1 w_j)^k with t = t_j, as in ``_core``."""
+    """The ShortLex normal form of the reflection w_1 (w_1 w_j)^k, where
+    t = t_j and 0 < k < t.
+
+    Without its leading pair (1 1) the reflection is (j 1 j ... j),
+    2k - 1 letters.  Since (w_1 w_j)^t = 1 it is also w_1 (w_j w_1)^(t - k),
+    that is (1 j 1 ... 1), 2(t - k) + 1 letters.  The reduced words of an
+    element of the dihedral group <w_1, w_j>, of order 2t, use only 1 and
+    j, and an alternating word of fewer than t letters is the one reduced
+    word of its element, so the shorter spelling is the normal form.  At
+    2k = t + 1 both spell the longest element, whose ShortLex form starts
+    with 1 < j.
+    """
     if 2 * k < t + 1:
         return alternating(j, 1, 2 * k - 1)
     return alternating(1, j, 2 * (t - k) + 1)
 
 
 def _cores(star: StarForm, f: AutFactorization) -> list:
-    """``_core`` of every generator, in generator order, in one loop."""
+    """The normal form of graph(perm) o exponent_product(cvec) (g) for every
+    generator g, in generator order: the center is fixed, and leaf g goes
+    to w_1 (w_1 w_j)^k with j = perm(g) and k = cvec(g)."""
     return _form_cores(star, _targets(f))
 
 
@@ -627,14 +620,19 @@ def _targets(f: AutFactorization) -> tuple:
     return tuple(zip(f.perm, f.cvec))
 
 
+def _spell_phi(star: StarForm, targets: tuple, word: Sequence[int]) -> list:
+    """phi(word) letter by letter, unreduced, for phi as in ``_form_cores``:
+    the cores of word's letters only, so a short word at rank 129 spells
+    a few cores, not all of them."""
+    cores = _form_cores(star, [None if g == 1 else targets[g - 2] for g in word])
+    return [a for core in cores[1:] for a in core]
+
+
 def _spell(star: StarForm, f: AutFactorization, word: Sequence[int]) -> list:
     """x^-1 psi(word) x letter by letter, unreduced, with x = f.inner and
-    psi = graph(perm) o exponent_product(cvec) sending g to ``_core``."""
-    out = list(inverse_word(f.inner))
-    for g in word:
-        out += _core(star, f, g)
-    out += f.inner
-    return out
+    psi = graph(perm) o exponent_product(cvec) (``_spell_phi``)."""
+    x = f.inner
+    return [*inverse_word(x), *_spell_phi(star, _targets(f), word), *x]
 
 
 def _checked(star: StarForm, f: AutFactorization) -> AutFactorization:
@@ -702,13 +700,10 @@ def invert_factorization(
     """
     f = _checked(star, f)
     back = {j: i for i, j in zip(star.leaves, f.perm)}
-    psi = AutFactorization(
-        (),
-        tuple(pow(f.cvec[back[g] - 2], -1, star.t_of(g)) for g in star.leaves),
-        tuple(back[g] for g in star.leaves),
-    )
-    image = _reduce(star.system, _spell(star, psi, f.inner), budget)
-    return AutFactorization(inverse_word(image), psi.cvec, psi.perm)
+    perm = tuple(back[g] for g in star.leaves)
+    cvec = tuple(pow(f.cvec[i - 2], -1, t) for i, t in zip(perm, star.t))
+    image = _spell_phi(star, tuple(zip(perm, cvec)), f.inner)  # psi^-1(x)
+    return AutFactorization(inverse_word(_reduce(star.system, image, budget)), cvec, perm)
 
 
 def compose_factors(
@@ -761,10 +756,7 @@ def _product(
     e1(y) = x1^-1 phi1(y) x1, so e1 o e2 = inner(x^-1) o phi1 o phi2 with
     x = phi1(x2) x1, spelled letter by letter and reduced once.
     """
-    # the cores of x2's letters only: x2 is short, and spelling all n
-    # cores costs tens of microseconds at rank 129
-    cores = _form_cores(star, [None if g == 1 else targets1[g - 2] for g in x2])
-    x = _reduce(star.system, [a for core in cores[1:] for a in core] + list(x1), budget)
+    x = _reduce(star.system, _spell_phi(star, targets1, x2) + list(x1), budget)
     t = star.t
     targets = []
     for target in targets2:
@@ -978,9 +970,9 @@ def endo_from_json(sys: CoxeterSystem, text: str) -> Endomorphism:
             f"images[]: expected {sys.rank} words, got {len(images)}"
         )
     for idx, word in enumerate(images):
+        # the exact type test is cheap; ``_is_int`` decides the rest
         if not isinstance(word, list) or not all(
-            isinstance(letter, int) and not isinstance(letter, bool)
-            for letter in word
+            type(letter) is int or _is_int(letter) for letter in word
         ):
             raise EndoFileError(f"images[{idx}]: must be an array of integers")
         for letter in word:

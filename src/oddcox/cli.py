@@ -271,7 +271,7 @@ def cmd_rs_kernel(ns):
     if not isinstance(data, dict) or "degree" not in data or "images" not in data:
         raise SystemFileError("hom file needs fields 'degree' and 'images'")
     degree = data["degree"]
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+    if not core._is_int(degree) or degree < 1:
         raise SystemFileError("'degree' must be a positive integer")
     texts = data["images"]
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):

@@ -119,10 +119,16 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _is_int(value) -> bool:
+    """The package's integer test: an int, or an int subclass other than
+    bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_valid_exponent(m) -> bool:
     if m == INFINITY:
         return True
-    return isinstance(m, int) and not isinstance(m, bool) and m >= 3 and m % 2 == 1
+    return _is_int(m) and m >= 3 and m % 2 == 1
 
 
 _NO_NEIGHBORS: dict = {}
@@ -144,13 +150,19 @@ class CoxeterSystem(_Record):
 
     def __post_init__(self):
         rank = self.rank
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise MalformedInvariant("rank must be at least 1")
         # rows[i] maps each neighbour of i to its exponent; a list indexed
         # by vertex keeps m() as fast as indexing a matrix row
         rows: list[dict[int, int]] = [_NO_NEIGHBORS] * (rank + 1)
         canon = []
         for i, j, m in self.edges:
+            # the exact type test is cheap; ``_is_int`` decides the rest
+            exact = type(i) is int and type(j) is int
+            if not exact and not (_is_int(i) and _is_int(j)):
+                raise MalformedInvariant(
+                    f"edge ({i!r}, {j!r}): vertices must be integers"
+                )
             if i > j:
                 i, j = j, i
             if i == j:
@@ -282,7 +294,7 @@ class SystemInvariant(_Record):
 
     def __post_init__(self):
         rank, ms = self.rank, tuple(self.finite_exponents)
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 2:
+        if not _is_int(rank) or rank < 2:
             raise MalformedInvariant("rank must be at least 2")
         if len(ms) != rank - 1:
             raise MalformedInvariant(
@@ -379,7 +391,7 @@ def merge_generators(star: StarForm, i: int, j: int):
     together with the old-generator -> new-generator index map.
     """
     n = star.rank
-    if i == j or not (1 <= i <= n) or not (1 <= j <= n):
+    if not (_is_int(i) and _is_int(j)) or i == j or not (1 <= i <= n and 1 <= j <= n):
         raise NotAdjacentPair(f"cannot merge generator pair ({i}, {j})")
     # one (label, leaf) row per leaf of the quotient, in the quotient's leaf
     # order 2, 3, ...: the surviving leaves, and two merged leaves whose gcd
@@ -442,7 +454,7 @@ def system_from_json(text: str) -> CoxeterSystem:
     if "rank" not in data:
         raise SystemFileError("missing field 'rank'")
     rank = data["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise SystemFileError("'rank' must be a positive integer")
     if rank > MAX_FILE_RANK:
         raise SystemFileError(f"'rank' {rank} exceeds the limit {MAX_FILE_RANK}")
@@ -457,8 +469,7 @@ def system_from_json(text: str) -> CoxeterSystem:
         for name in ("u", "v", "m"):
             if name not in edge:
                 raise SystemFileError(f"{where}: missing field '{name}'")
-            value = edge[name]
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(edge[name]):
                 raise SystemFileError(f"{where}.{name}: must be an integer")
         u, v, m = edge["u"], edge["v"], edge["m"]
         if not (1 <= u <= rank):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .core import CoxeterSystem, _Record
+from .core import CoxeterSystem, _Record, _is_int
 from .errors import BadSearchRequest, BallBudgetExceeded, NegativeRadius
 from .words import DEFAULT_ORBIT_BUDGET, _push, check_word, conjugate, reduce_word
 
@@ -99,6 +99,14 @@ class _Automaton:
         return self.letters
 
 
+def _check_radius(radius) -> None:
+    """Refuse a radius that is no integer (``core._is_int``) or is negative."""
+    if not _is_int(radius):
+        raise NegativeRadius(f"radius must be a nonnegative integer, got {radius!r}")
+    if radius < 0:
+        raise NegativeRadius(f"radius must be nonnegative, got {radius}")
+
+
 def cayley_ball(
     sys: CoxeterSystem, radius: int, ball_budget: int = DEFAULT_BALL_BUDGET
 ) -> CayleyBall:
@@ -112,8 +120,7 @@ def cayley_ball(
     that the ball budget stops, and never holds more than rank + 1
     entries per element listed.
     """
-    if radius < 0:
-        raise NegativeRadius(f"radius must be nonnegative, got {radius}")
+    _check_radius(radius)
     if ball_budget < 1:  # no room for the identity
         raise BallBudgetExceeded(f"ball exceeded {ball_budget} elements")
     automaton = _Automaton(sys)
@@ -183,8 +190,7 @@ def ball_search(
         target = reduce_word(sys, a, orbit_budget)
     else:
         raise BadSearchRequest(f"unknown search kind {kind!r}")
-    if radius < 0:
-        raise NegativeRadius(f"radius must be nonnegative, got {radius}")
+    _check_radius(radius)
     if ball_budget < 1:  # no room for the root
         raise BallBudgetExceeded(f"search built more than {ball_budget} nodes")
     root = target if kind == "centralizer" else reduce_word(sys, a, orbit_budget)

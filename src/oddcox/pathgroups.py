@@ -31,6 +31,7 @@ from .core import (
     INFINITY,
     CoxeterSystem,
     _Record,
+    _is_int,
     cycle_notation,
     invariants,
     path_system,
@@ -49,7 +50,7 @@ from .errors import (
     RankTooSmall,
     UnsupportedShape,
 )
-from .words import DEFAULT_ORBIT_BUDGET, _is_int, reduce_word
+from .words import DEFAULT_ORBIT_BUDGET, reduce_word
 
 DEFAULT_IMAGE_CAP = 10**5
 # a Cayley search holds each element as a tuple of its degree points, so it
@@ -94,6 +95,9 @@ def identity_perm(n: int) -> Permutation:
 
 
 def transposition(n: int, i: int) -> Permutation:
+    """The transposition (i i+1) of S_n, the image of path letter i."""
+    if not _is_int(i) or not 1 <= i <= n - 1:
+        raise BadLetter(f"letter {i} out of range 1..{n - 1}")
     images = list(range(1, n + 1))
     images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(tuple(images))
@@ -403,11 +407,14 @@ def free_rank(sys: CoxeterSystem, index: int) -> int:
 
     Uses rank = 1 - index * chi where chi is the rational Euler measure
     of the group: half of (sum of reciprocal finite exponents minus
-    (rank - 2)).  Refuses loudly on an index below 1 and on a non-integer
-    result, which signals a violated precondition.
+    (rank - 2)).  Refuses loudly on an index that is no integer
+    (``core._is_int``) or is below 1, and on a non-integer result, which
+    signals a violated precondition.
     """
     from fractions import Fraction
 
+    if not _is_int(index):
+        raise BadIndex(f"index must be an integer, got {index!r}")
     if index < 1:
         raise BadIndex(f"index must be at least 1, got {index}")
     inv = invariants(sys)

@@ -205,7 +205,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .core import CoxeterSystem, StarForm
+from .core import CoxeterSystem, StarForm, _is_int
 from .errors import (
     BadLetter,
     NotInParabolic,
@@ -216,12 +216,6 @@ from .errors import (
 DEFAULT_ORBIT_BUDGET = 10**6
 
 Word = tuple
-
-
-def _is_int(value) -> bool:
-    """The package's integer test: an int, or an int subclass other than
-    bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_word(sys: CoxeterSystem, word: Sequence[int]) -> Word:
@@ -626,7 +620,7 @@ def dihedral_log(
     Returns ("even", k) when w = (w_1 w_j)^k and ("odd", k) when
     w = w_1 (w_1 w_j)^k, with 0 <= k < t_j; the pair is unique.
     """
-    if j not in star.leaves:
+    if not _is_int(j) or j not in star.leaves:
         raise NotInParabolic(f"{j} is not a leaf")
     canon = reduce_word(star.system, w, budget)
     letters = set(canon)

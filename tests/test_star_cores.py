@@ -1,11 +1,12 @@
 """The cores of star automorphisms in closed form, and the recomposition
 check that ``factorize`` used to run kept as a test oracle.
 
-``autkit._core`` spells the image of leaf g under graph(perm) o
+``_core`` below spells the image of leaf g under graph(perm) o
 exponent_product(cvec), the reflection w_1 (w_1 w_j)^k, as a ShortLex
-normal form read off from k and t_j.  ``factorize`` certifies its factors
-by comparing reduced words with those cores; the oracle here recomposes
-the factors and compares them with the input's reduced images instead.
+normal form read off from k and t_j (``autkit._leaf_core``).
+``factorize`` certifies its factors by comparing reduced words with those
+cores; the oracle here recomposes the factors and compares them with the
+input's reduced images instead.
 """
 
 import math
@@ -14,12 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddcox import AutFactorization, factorize, make_endo, recompose, reduce_word
-from oddcox.autkit import _core
+from oddcox.autkit import _leaf_core
 from oddcox.words import alternating, inverse_word
 
 from conftest import star
 from test_factor_space import STARS
 from tits_oracle import TitsImage
+
+
+def _core(star, f, g):
+    """The image of generator g under graph(perm) o exponent_product(cvec),
+    as its ShortLex normal form: the single-generator spelling that
+    ``autkit`` kept before it spelled phi(word) in one place, kept here as
+    a reference."""
+    if g == 1:
+        return (1,)
+    return _leaf_core(f.perm_of(g), f.cvec[g - 2], star.t_of(g))
 
 
 def _units(t):
