@@ -58,11 +58,11 @@ are not stored.  A record freezes its images when it is built and the
 word engine keeps no state, so the classification is a function of the
 record and the budget, and storing it is exact.  So ``verify_endo``,
 ``factorize`` and the ``factorize`` inside ``try_invert``, called on one
-record, read its images once.  A record that ``_recompose`` or
-``compose`` builds carries its factored form from birth (``_form``, by
-the same rules: keyed by the budget it was built with, and no field), so
-at that budget ``classify_endo`` reads it with its one
-``involution_to_base`` call and reduces no image.
+record, read its images once.  A record that ``_recompose``, the
+builders or ``compose`` build carries its factored form from birth
+(``_born`` stores ``_form``, by the same rules: keyed by the budget it
+was built with, and no field), so at that budget ``classify_endo``
+reads it with its one ``involution_to_base`` call and reduces no image.
 
 Endomorphisms of a star multiply in closed form (``_product``): with
 e = inner(x^-1) o phi, where phi fixes w_1 and sends each leaf to a
@@ -80,13 +80,18 @@ image-level composition.  ``outer_key`` names the outer class of f, and
 ``is_inner`` asks whether that class is trivial.
 
 Factors are validated once per public call, by ``_checked``: each public
-function that takes an ``AutFactorization`` checks it on entry, and the
-private bodies ``_recompose`` and ``_compose_factors`` trust factors
-already checked.  So ``try_invert`` checks f once in ``factorize`` and
-once in ``invert_factorization``, and the inverse, which that builds
-from checked factors, is not checked again.  ``inner_auto``,
-``graph_auto`` and ``theta_product`` check only their given factor; the
-identity and all-ones factors they fill in are valid by construction.
+function that takes an ``AutFactorization`` checks it on entry, directly
+or through another public function (``is_inner`` through ``outer_key``),
+and the private bodies ``_recompose``, ``_compose_factors`` and
+``_is_identity`` trust factors already checked.  So ``try_invert``
+checks f once in ``factorize`` and once in ``invert_factorization``, and
+the inverse, which that builds from checked factors, is not checked
+again; ``normality_witness`` checks f once and reads its merge off the
+checked factors.  ``inner_auto``, ``graph_auto`` and ``theta_product``
+check only their given factor: ``inner_auto`` fills in the identity
+factors, which are valid by construction, and ``graph_auto`` and
+``theta_product``, whose conjugator is empty, build their images from
+the cores with ``_born`` and build no factors.
 
 Every letter of every image is checked once, when the ``Endomorphism``
 is built, so no function here checks an image's letters again.
@@ -114,6 +119,7 @@ from .core import INFINITY, CoxeterSystem, StarForm, _Record, _is_int, merge_gen
 from .errors import (
     BadThetaExponent,
     BlockViolatingPermutation,
+    CertificateFailed,
     EndoFileError,
     IsInnerNoWitness,
     NoMergeWitness,
@@ -452,15 +458,17 @@ def _normalize_perm(star: StarForm, perm) -> tuple:
 
 
 def graph_auto(star: StarForm, perm) -> Endomorphism:
-    """Diagram symmetry: permutes leaves within equal-label blocks."""
-    f = AutFactorization((), (1,) * (star.rank - 1), _normalize_perm(star, perm))
-    return _recompose(star, f, DEFAULT_ORBIT_BUDGET)
+    """Diagram symmetry: permutes leaves within equal-label blocks.  Its
+    conjugator is empty, so its images are the cores (``_born``)."""
+    targets = tuple((j, 1) for j in _normalize_perm(star, perm))
+    return _born(star, (), targets, DEFAULT_ORBIT_BUDGET)
 
 
 def theta_product(star: StarForm, cvec: Sequence[int]) -> Endomorphism:
-    """Product of leaf maps with the given exponents, ascending leaf order."""
-    f = AutFactorization((), _check_cvec(star, tuple(cvec)), tuple(star.leaves))
-    return _recompose(star, f, DEFAULT_ORBIT_BUDGET)
+    """Product of leaf maps with the given exponents, ascending leaf order.
+    Its conjugator is empty, so its images are the cores (``_born``)."""
+    targets = tuple(zip(star.leaves, _check_cvec(star, tuple(cvec))))
+    return _born(star, (), targets, DEFAULT_ORBIT_BUDGET)
 
 
 def _check_cvec(star: StarForm, cvec: Sequence[int]) -> tuple:
@@ -838,25 +846,34 @@ def outer_key(star: StarForm, f: AutFactorization) -> tuple:
     the identity and exponent_product(-1), so the maps of that form in the
     class are psi and psi o exponent_product(-1), whose exponents are
     -cvec.  So composing f with an inner automorphism leaves the key as it
-    is."""
-    minus = tuple((-k) % star.t_of(i) for i, k in zip(star.leaves, f.cvec))
-    return tuple(f.perm), min(tuple(f.cvec), minus)
+    is.  f is validated first (``_checked``)."""
+    f = _checked(star, f)
+    minus = tuple((-k) % t for t, k in zip(star.t, f.cvec))
+    return f.perm, min(f.cvec, minus)
 
 
 def is_inner(star: StarForm, f: AutFactorization) -> bool:
-    """Inner exactly when the outer class is trivial."""
+    """Inner exactly when the outer class is trivial (``outer_key``)."""
     return outer_key(star, f) == (tuple(star.leaves), (1,) * (star.rank - 1))
 
 
+def _inner_cvecs(star: StarForm) -> tuple:
+    """The exponent vectors all 1 and all t - 1, in that order: the only
+    ones whose exponent_product is inner, the identity and inner(w_1)."""
+    return (1,) * (star.rank - 1), tuple(t - 1 for t in star.t)
+
+
 def _is_identity(star: StarForm, f: AutFactorization) -> bool:
-    """Is f, with a reduced inner word, a factorization of the identity?
+    """Is f, checked and with a reduced inner word, a factorization of the
+    identity?
 
     The identity has exactly two: ((), all 1, id) and ((1,), all t - 1, id),
     since exponent_product(-1) = inner(w_1).  If inner(x^-1) o psi = id,
     then psi = inner(x) is inner, so psi is the identity or
     exponent_product(-1); the center of W is trivial, so x is 1 or w_1,
     whose reduced words are () and (1,)."""
-    return is_inner(star, f) and f.inner == (() if set(f.cvec) == {1} else (1,))
+    ones, minus = _inner_cvecs(star)
+    return f.perm == tuple(star.leaves) and (f.inner, f.cvec) in (((), ones), ((1,), minus))
 
 
 class NormalityWitness(_Record):
@@ -875,45 +892,59 @@ def normality_witness(
     """Witness that a non-inner automorphism moves some normal subgroup.
 
     The normal subgroup is the kernel N of a generator merge; the witness
-    is g in N whose image under the automorphism maps to a nontrivial
-    element of the quotient.  A moved leaf gives g = w_1 w_i with the
-    center merge (1, i); differing exponents at leaves i, j with
-    gcd(t_i, t_j) > 1 give g = w_i w_j with the leaf merge (i, j).
-    When neither case applies no merge quotient can tell the automorphism
-    from a normal one and the search fails explicitly.
+    is g in N whose image under f = inner(x^-1) o graph(perm) o
+    exponent_product(cvec) maps to a nontrivial element of the quotient.
+    The merge is read off the factors, with g = merge:
+
+    - the first leaf i with perm(i) = j != i gives the center merge
+      (1, i).  It deletes leaf i and keeps leaf j with its label t_j, so
+      f(w_1 w_i) = x^-1 w_1 w_1 (w_1 w_j)^k x = x^-1 (w_1 w_j)^k x, with
+      k = cvec(i) a unit mod t_j, maps to a conjugate of a nontrivial
+      rotation of the dihedral group <w_1, w_j> of order 2 t_j;
+    - else perm is the identity, and f is inner exactly when cvec is all
+      1 or all t - 1 (``outer_key``): then ``IsInnerNoWitness``;
+    - else the first pair i < j with d = gcd(t_i, t_j) > 1 and
+      cvec(i) != cvec(j) mod d gives the leaf merge (i, j), which sends
+      w_i and w_j to one leaf w_l with label d.  Writing r = w_1 w_l, of
+      order d, f(w_i w_j) maps to a conjugate of
+      w_1 r^c_i w_1 r^c_j = r^(c_j - c_i), a nontrivial rotation of the
+      dihedral group of order 2d;
+    - else no merge quotient can tell f from a normal automorphism:
+      ``NoMergeWitness``.
+
+    In both merge cases the image of g is a nontrivial rotation, so one
+    quotient is built and the evidence reduced once.  Evidence that reduced to ()
+    would contradict this argument: it raises ``CertificateFailed``, and
+    no other merge is tried.
     """
     f = _checked(star, f)
-    if is_inner(star, f):
-        raise IsInnerNoWitness("inner automorphisms preserve every normal subgroup")
-
-    def certified(g, pair):
-        quotient, mapping = merge_generators(star, *pair)
-        # the image of g = g1 g2 under inner(x^-1) o psi, pushed letter by
-        # letter into the quotient: the merge map is a homomorphism
-        pushed = tuple(mapping[letter - 1] for letter in _spell(star, f, g))
-        evidence = _reduce(quotient, pushed, budget)
-        if evidence == ():
-            return None
-        kernel_check = tuple(mapping[letter - 1] for letter in g)
-        if _reduce(quotient, kernel_check, budget) != ():
-            raise NoMergeWitness("witness candidate does not lie in the kernel")
-        return NormalityWitness(g, pair, evidence, quotient, mapping)
-
-    for i in star.leaves:
-        if f.perm_of(i) != i:
-            witness = certified((1, i), (1, i))
-            if witness is not None:
-                return witness
-    for i in star.leaves:
-        for j in range(i + 1, star.rank + 1):
-            d = math.gcd(star.t_of(i), star.t_of(j))
-            if d > 1 and f.cvec[i - 2] % d != f.cvec[j - 2] % d:
-                witness = certified((i, j), (i, j))
-                if witness is not None:
-                    return witness
-    raise NoMergeWitness(
-        "no generator-merge quotient separates this automorphism from a normal one"
-    )
+    leaves, t, cvec = star.leaves, star.t, f.cvec
+    g = next(((1, i) for i, j in zip(leaves, f.perm) if i != j), None)
+    if g is None:
+        if cvec in _inner_cvecs(star):
+            raise IsInnerNoWitness("inner automorphisms preserve every normal subgroup")
+        pairs = (
+            (i, j)
+            for i in leaves
+            for j in range(i + 1, star.rank + 1)
+            if (d := math.gcd(t[i - 2], t[j - 2])) > 1
+            and cvec[i - 2] % d != cvec[j - 2] % d
+        )
+        g = next(pairs, None)
+        if g is None:
+            raise NoMergeWitness(
+                "no generator-merge quotient separates this automorphism from a normal one"
+            )
+    quotient, mapping = merge_generators(star, *g)
+    # the image of g = g1 g2 under f, pushed letter by letter into the
+    # quotient: the merge map is a homomorphism
+    pushed = tuple(mapping[letter - 1] for letter in _spell(star, f, g))
+    evidence = _reduce(quotient, pushed, budget)
+    if evidence == ():
+        raise CertificateFailed(f"merge {g} does not separate the automorphism")
+    if _reduce(quotient, tuple(mapping[letter - 1] for letter in g), budget) != ():
+        raise NoMergeWitness("witness candidate does not lie in the kernel")
+    return NormalityWitness(g, g, evidence, quotient, mapping)
 
 
 def try_invert(

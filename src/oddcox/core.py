@@ -156,7 +156,11 @@ class CoxeterSystem(_Record):
         # by vertex keeps m() as fast as indexing a matrix row
         rows: list[dict[int, int]] = [_NO_NEIGHBORS] * (rank + 1)
         canon = []
-        for i, j, m in self.edges:
+        for edge in self.edges:
+            try:
+                i, j, m = edge
+            except (TypeError, ValueError):
+                raise MalformedInvariant(f"edge {edge!r}: expected (i, j, m)") from None
             # the exact type test is cheap; ``_is_int`` decides the rest
             exact = type(i) is int and type(j) is int
             if not exact and not (_is_int(i) and _is_int(j)):

@@ -94,8 +94,16 @@ def identity_perm(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
+def _check_count(n, error: type = RankTooSmall, what: str = "strand count") -> None:
+    """Refuse a strand count, or a degree, that fails ``core._is_int``,
+    before a comparison or a ``range`` reads it."""
+    if not _is_int(n):
+        raise error(f"{what} must be an integer, got {n!r}")
+
+
 def transposition(n: int, i: int) -> Permutation:
     """The transposition (i i+1) of S_n, the image of path letter i."""
+    _check_count(n)
     if not _is_int(i) or not 1 <= i <= n - 1:
         raise BadLetter(f"letter {i} out of range 1..{n - 1}")
     images = list(range(1, n + 1))
@@ -113,6 +121,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     A point may appear at most once in the whole text: "(1 1)" or
     "(1 2)(2 1)" is refused rather than read as some other permutation.
     """
+    _check_count(degree, NotBijectiveHom, "degree")
     text = text.strip()
     images = list(range(1, degree + 1))
     if text in ("()", ""):
@@ -141,6 +150,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 def build_ln(n: int) -> CoxeterSystem:
     """Rank n-1 path with all labels 3; rank 1 when n = 2."""
+    _check_count(n)
     if n < 2:
         raise RankTooSmall("the family starts at two strands")
     return path_system([3] * (n - 2))
@@ -148,11 +158,13 @@ def build_ln(n: int) -> CoxeterSystem:
 
 def symmetric_images(n: int) -> list[Permutation]:
     """Standard projection targets: generator i maps to (i, i+1) in S_n."""
+    _check_count(n)
     return [transposition(n, i) for i in range(1, n)]
 
 
 def pi_image(n: int, word: Sequence[int]) -> Permutation:
     """Image of a path word in S_n, leftmost letter applied first."""
+    _check_count(n)
     if n < 2:
         raise RankTooSmall("the family starts at two strands")
     # Swapping positions i, i+1 of a list composes on the right with the
@@ -443,6 +455,7 @@ def pl_witness(n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> PureWitness:
     """
     from .autkit import apply, make_endo, satisfies_relations
 
+    _check_count(n)
     if n < 4:
         raise RankTooSmall("the pure subgroup is trivial below four strands")
     sys = build_ln(n)
